@@ -33,7 +33,7 @@ from repro.bench.parallel import parallel_map
 from repro.collio.api import RunSpec, run_collective_write
 from repro.collio.view import FileView
 from repro.config import DEFAULT_SCALE, DEFAULT_SEED
-from repro.errors import ReproError
+from repro.errors import ReproError, VerificationError
 from repro.faults.presets import fault_preset
 from repro.faults.spec import FaultSpec
 from repro.fs.presets import FsSpec
@@ -179,6 +179,8 @@ def _chaos_run(task: tuple) -> dict:
             verify=True, seed=rep_seed,
             faults=fault_spec.with_(crash_window=window),
         ))
+    except VerificationError:
+        raise  # wrong bytes are a simulator bug, not a non-completion
     except ReproError:
         # Recovery exhausted (or an unrecoverable fault mix): counted
         # as a non-completion, not a crash of the bench.

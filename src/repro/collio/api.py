@@ -17,17 +17,16 @@ The :class:`RunSpec` dataclass is the primary way to describe a run::
     result = run_collective_write(spec)
     result.overlap_efficiency()      # fraction of write time hidden
 
-The pre-RunSpec keyword signature still works but emits a
-``DeprecationWarning``.
+Every run goes through one :class:`RunPipeline`: a plain run is one
+attempt, the crash-recovery loop (:mod:`repro.recovery.manager`) drives
+several, and both get their result and ``metrics`` from its one builder.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import sys
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar
 
 import numpy as np
@@ -48,7 +47,7 @@ from repro.collio.plan import (
 from repro.collio.shuffle import SHUFFLE_PRIMITIVES, make_shuffle
 from repro.collio.view import FileView
 from repro.config import DEFAULT_SEED
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError, VerificationError
 from repro.faults.retry import RetryPolicy
 from repro.faults.spec import FaultSpec
 from repro.fs.presets import FsSpec
@@ -178,10 +177,6 @@ class RunSpec(SpecBase):
             )
         return self
 
-    def replace(self, **overrides: Any) -> "RunSpec":
-        """A copy with the given fields replaced (the spec is frozen)."""
-        return replace(self, **overrides)
-
     def resolved_config(self) -> CollectiveConfig:
         """The effective config: defaults applied, shorthands folded in."""
         config = self.config or CollectiveConfig()
@@ -192,48 +187,6 @@ class RunSpec(SpecBase):
         if self.staging is not None:
             config = config.with_(staging=self.staging)
         return config
-
-
-#: Legacy positional order of the pre-RunSpec signature (shim support).
-_LEGACY_POSITIONAL = (
-    "cluster", "fs", "nprocs", "views", "data_factory", "algorithm",
-    "shuffle", "config", "seed", "verify", "carry_data", "plan", "path",
-    "faults", "retry", "auto_cache_dir",
-)
-#: Old keyword spellings that were renamed in RunSpec.
-_LEGACY_RENAMES = {"cluster_spec": "cluster", "fs_spec": "fs"}
-
-#: Call sites (file, line) that already received the legacy deprecation
-#: warning — each site warns once, so a sweep looping over the shim does
-#: not drown its own output.
-_LEGACY_WARNED_SITES: set[tuple[str, int]] = set()
-
-
-def _legacy_call_check() -> None:
-    """Reject (strict mode) or warn about a legacy loose-argument call.
-
-    ``REPRO_STRICT_API=1`` turns the deprecated calling convention into
-    an immediate ``TypeError`` — the migration endgame, and a cheap way
-    for a CI job to prove a tree is shim-free.  Otherwise the shim emits
-    one ``DeprecationWarning`` per call site pointing at :class:`RunSpec`.
-    """
-    if os.environ.get("REPRO_STRICT_API", "") not in ("", "0"):
-        raise TypeError(
-            "REPRO_STRICT_API is set: run_collective_write() requires a "
-            "RunSpec; the legacy loose-argument convention is disabled. "
-            "Call run_collective_write(RunSpec(...))."
-        )
-    caller = sys._getframe(2)
-    site = (caller.f_code.co_filename, caller.f_lineno)
-    if site in _LEGACY_WARNED_SITES:
-        return
-    _LEGACY_WARNED_SITES.add(site)
-    warnings.warn(
-        "calling run_collective_write with loose arguments is deprecated; "
-        "pass a RunSpec instead: run_collective_write(RunSpec(...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def build_plan(
@@ -419,15 +372,12 @@ class CollectiveWriteResult:
         return self.overlap_report().efficiency
 
 
-def run_collective_write(spec: RunSpec = None, *args: Any, **kwargs: Any) -> CollectiveWriteResult:
+def run_collective_write(spec: RunSpec) -> CollectiveWriteResult:
     """Build a world, run one collective write, return timing (and verify).
-
-    The primary signature takes a single :class:`RunSpec`::
-
-        run_collective_write(RunSpec(cluster=..., fs=..., nprocs=..., views=...))
 
     ``spec.views`` maps every rank to its :class:`FileView`;
     ``spec.data_factory(rank, nbytes)`` produces each rank's payload.
+    Use :meth:`RunSpec.replace` to vary a spec.
 
     ``carry_data=False`` runs in size-only mode: every transfer and write
     carries only its byte count, producing *identical simulated timing*
@@ -454,40 +404,12 @@ def run_collective_write(spec: RunSpec = None, *args: Any, **kwargs: Any) -> Col
     ``trace=True`` records span timelines: the result's ``spans`` feed
     :func:`repro.obs.export.chrome_trace` and
     :meth:`CollectiveWriteResult.overlap_report`.
-
-    The pre-RunSpec calling convention — loose positional/keyword
-    arguments, with ``cluster_spec``/``fs_spec`` spellings — still works
-    but emits a ``DeprecationWarning`` (once per call site).  Setting
-    ``REPRO_STRICT_API=1`` in the environment disables the shim: legacy
-    calls then raise ``TypeError`` immediately.
     """
-    if isinstance(spec, RunSpec):
-        if args or kwargs:
-            raise TypeError(
-                "run_collective_write(spec) takes no further arguments; "
-                "use RunSpec.replace(...) to vary a spec"
-            )
-        return _run(spec)
-    # Legacy shim: map the old positional order / keyword spellings.
-    _legacy_call_check()
-    positional = args if spec is None else (spec, *args)
-    if len(positional) > len(_LEGACY_POSITIONAL):
-        raise TypeError(f"too many positional arguments ({len(positional)})")
-    mapped = dict(zip(_LEGACY_POSITIONAL, positional))
-    for key, value in kwargs.items():
-        name = _LEGACY_RENAMES.get(key, key)
-        if name in mapped:
-            raise TypeError(f"duplicate argument {key!r}")
-        mapped[name] = value
-    known = {f.name for f in fields(RunSpec)}
-    unknown = sorted(set(mapped) - known)
-    if unknown:
-        raise TypeError(f"unknown argument(s): {', '.join(unknown)}")
-    return _run(RunSpec(**mapped))
-
-
-def _run(spec: RunSpec) -> CollectiveWriteResult:
-    """Execute a validated :class:`RunSpec`."""
+    if not isinstance(spec, RunSpec):
+        raise TypeError(
+            f"run_collective_write() takes a RunSpec, got {type(spec).__name__}; "
+            "call run_collective_write(RunSpec(...))"
+        )
     spec.validate()
     config = spec.resolved_config()
     algorithm = spec.algorithm
@@ -506,149 +428,226 @@ def _run(spec: RunSpec) -> CollectiveWriteResult:
         from repro.recovery.manager import run_with_recovery
 
         return run_with_recovery(spec, algorithm, config, auto_counters)
-    recorder = (
-        SpanRecorder(enabled=True, max_records=spec.max_trace_records)
-        if spec.trace
-        else None
-    )
-    world = World(
-        spec.cluster, spec.nprocs, fs_spec=spec.fs, seed=spec.seed,
-        faults=spec.faults, tracer=recorder,
-    )
-    algo = make_algorithm(algorithm)
-    plan = spec.plan
-    if plan is None:
-        plan = build_plan(
-            world.cluster, spec.nprocs, spec.views, config,
-            algo.cycle_bytes(config.cb_buffer_size),
-            stripe_size=spec.fs.stripe_size,
-        )
-    elif plan.cycle_bytes != algo.cycle_bytes(config.cb_buffer_size):
-        raise ConfigurationError(
-            f"supplied plan has cycle_bytes={plan.cycle_bytes}, but algorithm "
-            f"{algorithm!r} needs {algo.cycle_bytes(config.cb_buffer_size)}"
-        )
-    payloads = {
-        r: spec.data_factory(r, spec.views[r].total_bytes) if spec.carry_data else None
-        for r in range(spec.nprocs)
-    }
-
-    def program(mpi):
-        fh = yield from mpi.file_open(spec.path)
-        stats = yield from collective_write(
-            mpi, fh, spec.views[mpi.rank], payloads[mpi.rank], plan,
-            algorithm=algorithm, shuffle=spec.shuffle, config=config,
-        )
-        return stats
-
-    t_start = world.now
-    stats = world.run(program)
-    elapsed = world.now - t_start
-    result = CollectiveWriteResult(
-        algorithm=algorithm,
-        shuffle=spec.shuffle,
-        nprocs=spec.nprocs,
-        num_aggregators=len(plan.aggregators),
-        num_cycles=plan.num_cycles,
-        cycle_bytes=plan.cycle_bytes,
-        total_bytes=plan.total_bytes,
-        elapsed=elapsed,
-        write_bandwidth=plan.total_bytes / elapsed if elapsed > 0 else 0.0,
-        per_rank_stats=stats,
-        trace_counters=dict(world.cluster.tracer.counters),
-    )
-    if auto_counters:
-        result.trace_counters.update(auto_counters)
-    if world.integrity is not None:
-        result.integrity = world.integrity.snapshot()
-    if recorder is not None:
-        result.spans = recorder.closed_spans()
-    result.metrics = _run_metrics(world, result, auto_counters).snapshot()
-    if spec.verify or config.verify:
-        result.verified, result.file_sha256 = _verify_file(
-            world, spec.path, spec.views, payloads
-        )
-    return result
+    # A plain run is the one-attempt case of that loop.
+    run = RunPipeline(spec, algorithm, config, auto_counters)
+    failure = run.attempt()
+    if failure is not None:
+        raise failure
+    return run.build_result()
 
 
-def _run_metrics(
-    world: World, result: CollectiveWriteResult, auto_counters: dict | None
-) -> MetricsRegistry:
-    """Assemble the run's :class:`MetricsRegistry` (counters/gauges/histograms)."""
-    registry = MetricsRegistry()
-    registry.merge_counters(world.cluster.tracer.counters)
-    if auto_counters:
-        registry.merge_counters(auto_counters)
-    registry.counter("sim.events_processed").inc(world.engine.events_processed)
-    registry.gauge("sim.max_heap_len").set(world.engine.max_heap_len)
-    registry.gauge("run.elapsed").set(result.elapsed)
-    registry.gauge("run.write_bandwidth").set(result.write_bandwidth)
-    registry.gauge("fs.bytes_written").set(world.pfs.bytes_written if world.pfs else 0)
-    if world.pfs is not None:
-        registry.counter("fs.writes_failed").inc(
-            sum(t.writes_failed for t in world.pfs.targets)
-        )
-        registry.counter("fs.writes_rejected").inc(
-            sum(t.writes_rejected for t in world.pfs.targets)
-        )
-        registry.gauge("fs.targets_down").set(
-            sum(1 for t in world.pfs.targets if t.down)
-        )
-    registry.counter("comm.messages_inter_node").inc(
-        result.aggregate_counter("messages_inter_node")
-    )
-    registry.counter("comm.messages_intra_node").inc(
-        result.aggregate_counter("messages_intra_node")
-    )
-    for name, value in world.buffer_pool_counters().items():
-        registry.counter(name).inc(value)
-    tier = getattr(world, "staging", None)
-    if tier is not None:
-        for name, value in tier.counter_totals().items():
-            registry.counter(name).inc(value)
-        registry.gauge("staging.occupancy_peak").set(tier.occupancy_peak())
-        registry.gauge("staging.capacity").set(tier.spec.capacity)
-        registry.gauge("staging.undrained_bytes").set(tier.undrained_bytes())
-    gather_messages = result.aggregate_counter("gather_messages")
-    if gather_messages:
-        registry.counter("intranode.gather_messages").inc(gather_messages)
-        registry.counter("intranode.gather_bytes").inc(
-            result.aggregate_counter("gather_bytes")
-        )
-        registry.counter("intranode.leader_local_copies").inc(
-            result.aggregate_counter("gather_local_copies")
-        )
-    for span in result.spans:
-        registry.histogram(f"span.{span.category}.dur").observe(span.dur)
-    return registry
+class RunPipeline:
+    """One collective write from spec to result: attempt(s), then build.
 
-
-def _verify_file(
-    world: World,
-    path: str,
-    views: dict[int, FileView],
-    payloads: dict[int, np.ndarray],
-) -> tuple[bool, str]:
-    """Byte-exact check of the written file against the views' expectation.
-
-    Returns ``(ok, sha256)`` where the hash is of the *actual* file bytes
-    read back from the simulated PFS — the identity witness the staging
-    acceptance check compares across staging-on/off runs.
+    :meth:`attempt` runs the write in a fresh world and absorbs what the
+    finished world exposes, so a run of several attempts reports the same
+    metrics as a run of one; :meth:`build_result` turns that into the
+    :class:`CollectiveWriteResult`.  A caller that owns further metrics
+    (the recovery loop's ``recovery.*``) adds them to ``metrics`` first.
     """
-    ends = [v.file_range[1] for v in views.values() if v.num_extents]
-    size = max(ends) if ends else 0
-    expected = np.zeros(size, dtype=np.uint8)
-    for rank, view in views.items():
-        data = payloads[rank]
-        for off, ln, loc in zip(view.offsets, view.lengths, view.local_offsets):
-            expected[off : off + ln] = data[loc : loc + ln]
-    actual = world.pfs.open(path).read(0, size)
-    ok = bool(np.array_equal(actual, expected))
-    if not ok:
-        bad = np.flatnonzero(actual != expected)
-        raise AssertionError(
-            f"collective write corrupted the file: {bad.size} wrong bytes, "
-            f"first at offset {bad[0] if bad.size else '?'}"
+
+    def __init__(self, spec: RunSpec, algorithm: str, config: CollectiveConfig,
+                 auto_counters: dict | None = None) -> None:
+        self.spec, self.algorithm, self.config = spec, algorithm, config
+        self.metrics = MetricsRegistry()
+        #: Tracer counters summed over attempts (plus the tuner's).
+        self.trace_counters: Counter[str] = Counter(auto_counters or {})
+        self.metrics.merge_counters(self.trace_counters)
+        self.spans: list = []
+        #: Global clock at the end of the last attempt.
+        self.elapsed = 0.0
+        self.bytes_written = 0
+        self.integrity = None  # last attempt's layer snapshot
+        self.payloads: dict | None = None  # rank buffers, built once
+        self.plan: TwoPhasePlan | None = None  # the intended (first) plan
+        self.world: World | None = None  # last attempt's world
+        self.stats: list | None = None  # last attempt's PhaseStats
+
+    def attempt(
+        self,
+        base: float = 0.0,
+        *,
+        views: dict[int, FileView] | None = None,
+        journal: Any = None,
+        crashed: frozenset[int] = frozenset(),
+        down: frozenset[int] = frozenset(),
+        files: dict | None = None,
+        number: int = 0,
+    ) -> BaseException | None:
+        """Run the write in a fresh world starting at global time ``base``.
+
+        The defaults are a whole fault-free run.  The recovery loop passes
+        the durable state of earlier attempts: the cycle ``journal``, the
+        ``crashed`` ranks (barred from aggregator duty), the ``down``
+        targets, the adopted ``files`` and the replay ``views``; ``number``
+        > 0 wraps the run in a ``recovery`` span.  Returns the library
+        error that aborted the run, or None if it completed.
+        """
+        spec, config = self.spec, self.config
+        recorder = (
+            SpanRecorder(enabled=True, max_records=spec.max_trace_records)
+            if spec.trace
+            else None
         )
-    digest = hashlib.sha256(np.ascontiguousarray(actual).tobytes()).hexdigest()
-    return ok, digest
+        world = self.world = World(
+            spec.cluster, spec.nprocs, fs_spec=spec.fs, seed=spec.seed,
+            faults=spec.faults, tracer=recorder, journal=journal,
+            crashed_ranks=crashed, down_targets=down,
+        )
+        if files is not None:
+            world.pfs.adopt_files(files)
+        cycle_bytes = make_algorithm(self.algorithm).cycle_bytes(config.cb_buffer_size)
+        if views is None and spec.plan is not None:
+            views, plan = spec.views, spec.plan
+            if plan.cycle_bytes != cycle_bytes:
+                raise ConfigurationError(
+                    f"supplied plan has cycle_bytes={plan.cycle_bytes}, but algorithm "
+                    f"{self.algorithm!r} needs {cycle_bytes}"
+                )
+        else:
+            views = spec.views if views is None else views
+            plan = build_plan(
+                world.cluster, spec.nprocs, views, config, cycle_bytes,
+                stripe_size=spec.fs.stripe_size, exclude_ranks=crashed,
+            )
+        if self.plan is None:
+            self.plan = plan
+            self.payloads = {
+                r: spec.data_factory(r, spec.views[r].total_bytes) if spec.carry_data else None
+                for r in range(spec.nprocs)
+            }
+        span = None
+        if number and recorder is not None:
+            span = recorder.begin(
+                0.0, f"attempt{number}", "recovery", flow="async",
+                attempt=number, remaining_bytes=plan.total_bytes,
+                aggregators=list(plan.aggregators),
+            )
+
+        def program(mpi):
+            fh = yield from mpi.file_open(spec.path)
+            stats = yield from collective_write(
+                mpi, fh, views[mpi.rank], self.payloads[mpi.rank], plan,
+                algorithm=self.algorithm, shuffle=spec.shuffle, config=config,
+            )
+            return stats
+
+        failure = self.stats = None
+        try:
+            self.stats = world.run(program)
+        except (ReproError, ValueError) as exc:
+            failure = exc
+        if recorder is not None:
+            recorder.end(span, world.now)
+            for closed in recorder.closed_spans():
+                closed.t0 += base
+                closed.t1 += base
+                self.spans.append(closed)
+        self.elapsed = base + world.now
+        self._absorb(failed=failure is not None)
+        return failure
+
+    def _absorb(self, failed: bool) -> None:
+        """Fold the finished world's counters and statistics into the run's."""
+        world, metrics = self.world, self.metrics
+        self.trace_counters.update(world.cluster.tracer.counters)
+        metrics.merge_counters(world.cluster.tracer.counters)
+        metrics.counter("sim.events_processed").inc(world.engine.events_processed)
+        metrics.gauge("sim.max_heap_len").max(world.engine.max_heap_len)
+        targets = world.pfs.targets
+        self.bytes_written += world.pfs.bytes_written
+        metrics.counter("fs.writes_failed").inc(sum(t.writes_failed for t in targets))
+        metrics.counter("fs.writes_rejected").inc(sum(t.writes_rejected for t in targets))
+        # Down targets stay down in every later world: the last count is
+        # the cumulative one.
+        metrics.gauge("fs.targets_down").set(sum(1 for t in targets if t.down))
+        metrics.merge_counters(world.buffer_pool_counters())
+        tier = world.staging
+        if tier is not None:
+            # The tier is per-attempt and volatile: what a *failed* attempt
+            # had not drained is data the crash destroyed (the journal
+            # never committed it, so replay re-drives those cycles).
+            undrained = tier.undrained_bytes()
+            metrics.merge_counters(tier.counter_totals())
+            metrics.counter("staging.lost_bytes").inc(undrained if failed else 0)
+            metrics.gauge("staging.occupancy_peak").max(tier.occupancy_peak())
+            metrics.gauge("staging.capacity").set(tier.spec.capacity)
+            metrics.gauge("staging.undrained_bytes").set(undrained)
+        if world.integrity is not None:
+            self.integrity = world.integrity.snapshot()
+
+    def build_result(self, recovery: Any = None) -> CollectiveWriteResult:
+        """The result of a run whose last attempt completed.
+
+        Reports the first attempt's plan (the intended one); ``recovery``
+        is the loop's :class:`~repro.recovery.report.RecoveryReport`.
+        """
+        spec, plan, elapsed = self.spec, self.plan, self.elapsed
+        result = CollectiveWriteResult(
+            algorithm=self.algorithm,
+            shuffle=spec.shuffle,
+            nprocs=spec.nprocs,
+            num_aggregators=len(plan.aggregators),
+            num_cycles=plan.num_cycles,
+            cycle_bytes=plan.cycle_bytes,
+            total_bytes=plan.total_bytes,
+            elapsed=elapsed,
+            write_bandwidth=plan.total_bytes / elapsed if elapsed > 0 else 0.0,
+            per_rank_stats=self.stats,
+            trace_counters=dict(self.trace_counters),
+            spans=self.spans,
+            recovery=recovery,
+            integrity=self.integrity,
+        )
+        metrics = self.metrics
+        metrics.gauge("run.elapsed").set(elapsed)
+        metrics.gauge("run.write_bandwidth").set(result.write_bandwidth)
+        metrics.gauge("fs.bytes_written").set(self.bytes_written)
+        # Message counts live in the ranks' PhaseStats, which only the
+        # completed attempt returns.
+        metrics.counter("comm.messages_inter_node").inc(
+            result.aggregate_counter("messages_inter_node")
+        )
+        metrics.counter("comm.messages_intra_node").inc(
+            result.aggregate_counter("messages_intra_node")
+        )
+        gather_messages = result.aggregate_counter("gather_messages")
+        if gather_messages:
+            metrics.counter("intranode.gather_messages").inc(gather_messages)
+            metrics.counter("intranode.gather_bytes").inc(
+                result.aggregate_counter("gather_bytes")
+            )
+            metrics.counter("intranode.leader_local_copies").inc(
+                result.aggregate_counter("gather_local_copies")
+            )
+        for span in result.spans:
+            metrics.histogram(f"span.{span.category}.dur").observe(span.dur)
+        result.metrics = metrics.snapshot()
+        if spec.verify or self.config.verify:
+            result.file_sha256 = self._verify_file()
+            result.verified = True
+        return result
+
+    def _verify_file(self) -> str:
+        """Byte-exact check of the written file against the views' expectation.
+
+        Returns the sha256 of the *actual* file bytes read back from the
+        simulated PFS — the identity witness the staging acceptance check
+        compares across staging-on/off runs.
+        """
+        views = self.spec.views
+        ends = [v.file_range[1] for v in views.values() if v.num_extents]
+        size = max(ends) if ends else 0
+        expected = np.zeros(size, dtype=np.uint8)
+        for rank, view in views.items():
+            data = self.payloads[rank]
+            for off, ln, loc in zip(view.offsets, view.lengths, view.local_offsets):
+                expected[off : off + ln] = data[loc : loc + ln]
+        actual = self.world.pfs.open(self.spec.path).read(0, size)
+        if not np.array_equal(actual, expected):
+            bad = np.flatnonzero(actual != expected)
+            raise VerificationError(
+                f"collective write corrupted the file: {bad.size} wrong bytes, "
+                f"first at offset {bad[0] if bad.size else '?'}"
+            )
+        return hashlib.sha256(np.ascontiguousarray(actual).tobytes()).hexdigest()

@@ -125,14 +125,14 @@ class AlgoContext:
         #: When set, aggregators record every cycle's extent + checksum
         #: once its write completes (the commit protocol); a successor
         #: tells committed cycles from torn ones by re-verifying.
-        self.journal = getattr(mpi.world, "journal", None)
+        self.journal = mpi.world.journal
         #: Journal entries of posted-but-unwaited writes, by handle id.
         self._pending_commits: dict[int, tuple] = {}
         #: This node's burst-buffer drain scheduler when the run stages
         #: writes (see repro.staging), or None: aggregators then absorb
         #: into the node-local buffer instead of writing to the PFS, and
         #: journal commits defer to drain completion (durability point).
-        tier = getattr(mpi.world, "staging", None)
+        tier = mpi.world.staging
         self.stager = (
             tier.scheduler_for_rank(self.rank)
             if tier is not None and self.is_aggregator
@@ -142,7 +142,7 @@ class AlgoContext:
         #: datapath (see repro.integrity), or None: aggregators then
         #: record every cycle extent's CRC-32 before posting its write
         #: and carry it through staging and storage.
-        self.integrity = getattr(mpi.world, "integrity", None)
+        self.integrity = mpi.world.integrity
         if config.retry is not None:
             from repro.faults.retry import ReliableWriter  # local: avoids a cycle
 

@@ -52,7 +52,7 @@ from repro.collio.context import PhaseStats
 from repro.collio.plan import SendAssignment, TwoPhasePlan
 from repro.collio.view import FileView
 from repro.config import DEFAULT_SEED
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, VerificationError
 from repro.fs.presets import FsSpec
 from repro.hardware.cluster import ClusterSpec
 from repro.mpi.world import World
@@ -527,7 +527,7 @@ def run_collective_read(
             expected = payloads[rank]
             if not np.array_equal(outs[rank], expected):
                 bad = np.flatnonzero(outs[rank] != expected)
-                raise AssertionError(
+                raise VerificationError(
                     f"collective read corrupted rank {rank}'s data: "
                     f"{bad.size} wrong bytes, first at local offset {bad[0]}"
                 )

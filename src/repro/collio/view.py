@@ -175,17 +175,6 @@ class FileView:
             total -= tail_cut
         return total
 
-    def expected_file_bytes(self, data: np.ndarray, file_size: int) -> np.ndarray:
-        """Scatter ``data`` through the view into a ``file_size`` byte image.
-
-        Test helper: what the file region should contain if only this
-        rank wrote.
-        """
-        out = np.zeros(file_size, dtype=np.uint8)
-        for off, ln, loc in zip(self.offsets, self.lengths, self.local_offsets):
-            out[off : off + ln] = data[loc : loc + ln]
-        return out
-
     def __eq__(self, other: object) -> bool:
         """Value equality: same extents mapping the same local bytes.
 

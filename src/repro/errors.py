@@ -129,3 +129,10 @@ class ConfigurationError(ReproError):
 
 class WorkloadError(ReproError):
     """Invalid workload specification."""
+
+
+class VerificationError(ReproError, AssertionError):
+    """A ``verify=True`` run read back bytes that differ from its payloads.
+
+    Also an :class:`AssertionError`, so ``except AssertionError`` oracles
+    keep catching it."""

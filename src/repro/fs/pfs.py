@@ -101,6 +101,10 @@ class ParallelFileSystem:
         """
         self._files = files
 
+    def file_store(self) -> dict[str, SimFile]:
+        """The durable file store itself, for :meth:`adopt_files` elsewhere."""
+        return self._files
+
     # -- I/O ---------------------------------------------------------------
     def write(
         self,

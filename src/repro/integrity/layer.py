@@ -67,7 +67,7 @@ class IntegrityLayer:
         file system's read-back verify; peers reuse it.  Two different
         specs on one world is a configuration bug.
         """
-        layer = getattr(world, "integrity", None)
+        layer = world.integrity
         if layer is not None:
             if layer.spec != spec:
                 raise ConfigurationError(

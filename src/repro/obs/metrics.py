@@ -1,9 +1,9 @@
 """Metrics registry: counters, gauges and fixed-bucket histograms.
 
-Replaces the ad-hoc ``dict`` counter plumbing that used to flow through
-``collio.api`` and ``tune.api``: producers register named instruments on
-a :class:`MetricsRegistry`, consumers read a plain-data
-:meth:`~MetricsRegistry.snapshot`.  All three instrument kinds are
+Producers register named instruments on a :class:`MetricsRegistry`
+(every run's is assembled by :class:`repro.collio.api.RunPipeline`),
+consumers read a plain-data :meth:`~MetricsRegistry.snapshot`.  All
+three instrument kinds are
 deliberately minimal and allocation-free on the hot path:
 
 * :class:`CounterMetric` — monotonically increasing integer;

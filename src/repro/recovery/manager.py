@@ -27,23 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.collio.api import (
-    CollectiveWriteResult,
-    build_plan,
-    collective_write,
-    _verify_file,
-)
-from repro.collio.overlap import make_algorithm
+from repro.collio.api import RunPipeline
 from repro.collio.view import FileView
-from repro.errors import (
-    ConfigurationError,
-    RankCrashError,
-    RecoveryExhaustedError,
-    ReproError,
-)
-from repro.mpi.world import World
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Span, SpanRecorder
+from repro.errors import ConfigurationError, RankCrashError, RecoveryExhaustedError
+from repro.obs.span import Span
 from repro.recovery.journal import CycleJournal
 from repro.recovery.report import RecoveryReport
 from repro.recovery.spec import RecoverySpec
@@ -102,6 +89,10 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
     :class:`~repro.collio.api.CollectiveWriteResult` whose ``recovery``
     field carries the :class:`~repro.recovery.report.RecoveryReport`.
 
+    Only the recovery *policy* lives here — attempt budget, re-election
+    exclusions, failover charging, replay views; running an attempt and
+    assembling the result are :class:`~repro.collio.api.RunPipeline`'s.
+
     Raises :class:`~repro.errors.RecoveryExhaustedError` if the attempt
     budget runs out or a failed attempt yields no new fault information
     (which would loop forever, as the schedule is deterministic).
@@ -111,143 +102,53 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
         raise ConfigurationError(
             f"RunSpec.recovery must be a RecoverySpec or None, got {type(rspec).__name__}"
         )
-    algo = make_algorithm(algorithm)
-    cycle_bytes = algo.cycle_bytes(config.cb_buffer_size)
-    payloads = {
-        r: spec.data_factory(r, spec.views[r].total_bytes) if spec.carry_data else None
-        for r in range(spec.nprocs)
-    }
     budget = rspec.attempt_budget(spec.nprocs, spec.fs.num_targets)
+    failover = rspec.detection_timeout + rspec.failover_overhead
 
+    run = RunPipeline(spec, algorithm, config, auto_counters)
     journal = CycleJournal()
     crashed: set[int] = set()
     down: set[int] = set()
     files = None  # durable file store, carried world to world
     base = 0.0  # global-clock offset of the current attempt
-    all_spans: list[Span] = []
-    counters: dict[str, int] = {}
-    events: list[dict] = []
-    events_processed = 0
-    bytes_written = 0
-    writes_failed = 0
-    writes_rejected = 0
-    max_heap_len = 0
-    replayed_bytes = 0
-    torn_total = 0
-    staging_counters: dict[str, int] = {}
-    staging_peak = 0
-    staging_lost = 0
-    staging_used = False
-    integrity_snapshot = None  # last attempt's layer snapshot
-    total_failover = 0.0
-    plan0 = None  # the intended (attempt-1) plan, reported in the result
-    final_world = None
-    final_stats = None
-    attempt = 0
+    report = RecoveryReport(
+        attempts=0, crashed_ranks=[], down_targets=[], failover_time=0.0,
+        replayed_bytes=0, torn_cycles=0, journal_commits=0, completed=False,
+    )
     last_failure: BaseException | None = None
 
-    while attempt < budget:
-        attempt += 1
+    for attempt in range(1, budget + 1):
         if len(down) >= spec.fs.num_targets:
             raise RecoveryExhaustedError(
                 "all storage targets are down; no survivors to remap onto"
             ) from last_failure
-        recorder = (
-            SpanRecorder(enabled=True, max_records=spec.max_trace_records)
-            if spec.trace
-            else None
-        )
-        world = World(
-            spec.cluster, spec.nprocs, fs_spec=spec.fs, seed=spec.seed,
-            faults=spec.faults, tracer=recorder, journal=journal,
-            crashed_ranks=frozenset(crashed), down_targets=frozenset(down),
-        )
-        if files is not None:
-            world.pfs.adopt_files(files)
         durable = files.get(spec.path) if files is not None else None
         intervals, torn = journal.committed_intervals(durable)
-        torn_total += torn
+        report.torn_cycles += torn
         views = {
             r: subtract_intervals(spec.views[r], intervals)
             for r in range(spec.nprocs)
         }
         remaining = sum(v.total_bytes for v in views.values())
         if attempt > 1:
-            replayed_bytes += remaining
-        plan = build_plan(
-            world.cluster, spec.nprocs, views, config, cycle_bytes,
-            stripe_size=spec.fs.stripe_size, exclude_ranks=frozenset(crashed),
+            report.replayed_bytes += remaining
+        failure = run.attempt(
+            base, views=views, journal=journal, crashed=frozenset(crashed),
+            down=frozenset(down), files=files, number=attempt,
         )
-        if plan0 is None:
-            plan0 = plan
-        attempt_span = None
-        if recorder is not None:
-            attempt_span = recorder.begin(
-                0.0, f"attempt{attempt}", "recovery", flow="async",
-                attempt=attempt, remaining_bytes=remaining,
-                aggregators=list(plan.aggregators),
-            )
+        now = run.elapsed  # global clock at the end of this attempt
 
-        def program(mpi):
-            fh = yield from mpi.file_open(spec.path)
-            stats = yield from collective_write(
-                mpi, fh, views[mpi.rank], payloads[mpi.rank], plan,
-                algorithm=algorithm, shuffle=spec.shuffle, config=config,
-            )
-            return stats
-
-        failure: BaseException | None = None
-        stats = None
-        try:
-            stats = world.run(program)
-        except (ReproError, ValueError) as exc:
-            failure = exc
-        elapsed = world.now
-
-        # Harvest durable / diagnostic state from the attempt's world.
-        files = world.pfs._files
-        newly_down = sorted(
-            {t.target_id for t in world.pfs.targets if t.down} - down
-        )
+        # Durable state the next attempt inherits.
+        pfs = run.world.pfs
+        files = pfs.file_store()
+        newly_down = sorted({t.target_id for t in pfs.targets if t.down} - down)
         down.update(newly_down)
-        for key, val in world.cluster.tracer.counters.items():
-            counters[key] = counters.get(key, 0) + val
-        events_processed += world.engine.events_processed
-        bytes_written += world.pfs.bytes_written
-        writes_failed += sum(t.writes_failed for t in world.pfs.targets)
-        writes_rejected += sum(t.writes_rejected for t in world.pfs.targets)
-        max_heap_len = max(max_heap_len, world.engine.max_heap_len)
-        # Burst-buffer accounting: the tier is per-attempt (volatile — a
-        # crash loses whatever had not drained), so counters accumulate
-        # across attempts and undrained bytes of a *failed* attempt are
-        # the data the crash destroyed (the journal never committed them,
-        # so replay re-drives those cycles).
-        layer = getattr(world, "integrity", None)
-        if layer is not None:
-            integrity_snapshot = layer.snapshot()
-        tier = getattr(world, "staging", None)
-        if tier is not None:
-            staging_used = True
-            for name, value in tier.counter_totals().items():
-                staging_counters[name] = staging_counters.get(name, 0) + value
-            staging_peak = max(staging_peak, tier.occupancy_peak())
-            if failure is not None:
-                staging_lost += tier.undrained_bytes()
-        if recorder is not None:
-            recorder.end(attempt_span, elapsed)
-            for span in recorder.closed_spans():
-                span.t0 += base
-                span.t1 += base
-                all_spans.append(span)
 
         if failure is None:
-            events.append({
-                "attempt": attempt, "t": base + elapsed, "kind": "completed",
+            report.events.append({
+                "attempt": attempt, "t": now, "kind": "completed",
                 "replayed_bytes": remaining if attempt > 1 else 0,
             })
-            final_world = world
-            final_stats = stats
-            base += elapsed
             break
 
         last_failure = failure
@@ -265,83 +166,34 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
                 f"attempt {attempt} failed with {type(failure).__name__} but "
                 "exposed no new crashed rank or down target"
             ) from failure
-        failover = rspec.detection_timeout + rspec.failover_overhead
-        total_failover += failover
-        events.append({
-            "attempt": attempt, "t": base + elapsed, "kind": event_kind,
+        report.failover_time += failover
+        report.events.append({
+            "attempt": attempt, "t": now, "kind": event_kind,
             "error": type(failure).__name__, **detail,
         })
         if spec.trace:
-            all_spans.append(Span(
+            run.spans.append(Span(
                 name="failover", category="recovery", rank=-1,
-                t0=base + elapsed, t1=base + elapsed + failover, flow="async",
+                t0=now, t1=now + failover, flow="async",
                 attrs={"attempt": attempt, **detail},
             ))
-        base += elapsed + failover
-
-    if final_world is None:
+        base += run.world.now + failover
+    else:
         raise RecoveryExhaustedError(
             f"collective write did not complete within {budget} attempts"
         ) from last_failure
 
-    report = RecoveryReport(
-        attempts=attempt,
-        crashed_ranks=sorted(crashed),
-        down_targets=sorted(down),
-        failover_time=total_failover,
-        replayed_bytes=replayed_bytes,
-        torn_cycles=torn_total,
-        journal_commits=journal.commits,
-        completed=True,
-        events=events,
-    )
-    result = CollectiveWriteResult(
-        algorithm=algorithm,
-        shuffle=spec.shuffle,
-        nprocs=spec.nprocs,
-        num_aggregators=len(plan0.aggregators),
-        num_cycles=plan0.num_cycles,
-        cycle_bytes=plan0.cycle_bytes,
-        total_bytes=plan0.total_bytes,
-        elapsed=base,
-        write_bandwidth=plan0.total_bytes / base if base > 0 else 0.0,
-        per_rank_stats=final_stats,
-        trace_counters=dict(counters),
-        spans=all_spans,
-        recovery=report,
-        integrity=integrity_snapshot,
-    )
-    if auto_counters:
-        result.trace_counters.update(auto_counters)
-
-    registry = MetricsRegistry()
-    registry.merge_counters(counters)
-    if auto_counters:
-        registry.merge_counters(auto_counters)
-    registry.counter("sim.events_processed").inc(events_processed)
-    registry.gauge("sim.max_heap_len").set(max_heap_len)
-    registry.gauge("run.elapsed").set(result.elapsed)
-    registry.gauge("run.write_bandwidth").set(result.write_bandwidth)
-    registry.gauge("fs.bytes_written").set(bytes_written)
-    registry.counter("fs.writes_failed").inc(writes_failed)
-    registry.counter("fs.writes_rejected").inc(writes_rejected)
-    registry.gauge("fs.targets_down").set(len(down))
-    registry.counter("recovery.attempts").inc(attempt)
-    registry.counter("recovery.rank_crashes").inc(len(crashed))
-    registry.counter("recovery.ost_outages").inc(len(down))
-    registry.counter("recovery.replayed_bytes").inc(replayed_bytes)
-    registry.counter("recovery.torn_cycles").inc(torn_total)
-    registry.gauge("recovery.failover_time").set(total_failover)
-    if staging_used:
-        registry.merge_counters(staging_counters)
-        registry.counter("staging.lost_bytes").inc(staging_lost)
-        registry.gauge("staging.occupancy_peak").set(staging_peak)
-    for span in all_spans:
-        registry.histogram(f"span.{span.category}.dur").observe(span.dur)
-    result.metrics = registry.snapshot()
-
-    if spec.verify or config.verify:
-        result.verified, result.file_sha256 = _verify_file(
-            final_world, spec.path, spec.views, payloads
-        )
-    return result
+    report.attempts = attempt
+    report.crashed_ranks = sorted(crashed)
+    report.down_targets = sorted(down)
+    report.journal_commits = journal.commits
+    report.completed = True
+    run.metrics.merge_counters({
+        "recovery.attempts": attempt,
+        "recovery.rank_crashes": len(crashed),
+        "recovery.ost_outages": len(down),
+        "recovery.replayed_bytes": report.replayed_bytes,
+        "recovery.torn_cycles": report.torn_cycles,
+    })
+    run.metrics.gauge("recovery.failover_time").set(report.failover_time)
+    return run.build_result(report)

@@ -414,7 +414,7 @@ class StagingTier:
         collective-write call creates the tier, peers reuse it.  Two
         different specs on one world is a configuration bug.
         """
-        tier = getattr(world, "staging", None)
+        tier = world.staging
         if tier is not None:
             if tier.spec != spec:
                 raise ConfigurationError(

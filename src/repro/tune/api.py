@@ -20,7 +20,6 @@ from dataclasses import asdict
 from repro.collio.config import CollectiveConfig
 from repro.collio.overlap import ALGORITHMS, make_algorithm
 from repro.collio.api import RunSpec, build_plan, run_collective_write
-from repro.obs.metrics import MetricsRegistry
 from repro.config import DEFAULT_SCALE, DEFAULT_SEED
 from repro.fs.presets import FsSpec
 from repro.hardware.cluster import Cluster, ClusterSpec
@@ -137,15 +136,14 @@ def select_algorithm(
     names = tuple(candidates) if candidates is not None else tuple(sorted(ALGORITHMS))
     if not names:
         raise ValueError("select_algorithm: empty candidate list")
-    registry = MetricsRegistry()
-    registry.counter("tune.auto_select").inc()
+    counters = {"tune.auto_select": 1}
     cache = ResultCache(cache_dir) if cache_dir else None
     key = _selection_key(cluster_spec, fs_spec, nprocs, views, config, shuffle, seed, names)
     if cache is not None:
         cached = cache.get(key)
         if cached is not None and cached.get("algorithm") in names:
-            registry.counter("tune.auto_cache_hit").inc()
-            return cached["algorithm"], registry.counter_values()
+            counters["tune.auto_cache_hit"] = 1
+            return cached["algorithm"], counters
 
     placement = Cluster(Engine(), cluster_spec)
     plans: dict[int, object] = {}
@@ -163,11 +161,9 @@ def select_algorithm(
                 stripe_size=fs_spec.stripe_size,
             )
             plans[cycle_bytes] = plan
-        run = run_collective_write(base.replace(algorithm=name, plan=plan))
-        points[name] = run.elapsed
-        registry.counter("tune.auto_trials").inc()
-        registry.histogram("tune.trial_elapsed").observe(run.elapsed)
+        points[name] = run_collective_write(base.replace(algorithm=name, plan=plan)).elapsed
     best = min(names, key=lambda n: (points[n], n))
     if cache is not None:
         cache.put(key, {"algorithm": best, "points": points, "shuffle": shuffle})
-    return best, registry.counter_values()
+    counters["tune.auto_trials"] = len(names)
+    return best, counters

@@ -52,15 +52,15 @@ class TestEndToEnd:
     def test_matches_bench_breakdown(self):
         """aggregate_phases on a real run reproduces the IV-A split."""
         from repro.bench.runner import specs_for
-        from repro.collio import CollectiveConfig, run_collective_write
+        from repro.collio import CollectiveConfig, RunSpec, run_collective_write
         from repro.workloads import make_workload
 
         cluster, fs = specs_for("crill", 64)
         w = make_workload("tile_1m", 96, element_size=4096)
-        run = run_collective_write(
-            cluster, fs, 96, w.views(), algorithm="no_overlap",
+        run = run_collective_write(RunSpec(
+            cluster=cluster, fs=fs, nprocs=96, views=w.views(), algorithm="no_overlap",
             config=CollectiveConfig.for_scale(64), carry_data=False,
-        )
+        ))
         b = aggregate_phases(run.per_rank_stats, ranks=[0])  # an aggregator
         assert b.io_share > 0.5  # crill is I/O dominated
         assert 0 < b.communication_share < 0.5

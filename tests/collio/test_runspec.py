@@ -1,4 +1,4 @@
-"""RunSpec consolidation: validation, replace, and the legacy-kwargs shim."""
+"""RunSpec consolidation: validation, replace, and the one calling convention."""
 
 import warnings
 
@@ -102,7 +102,7 @@ class TestRunWithSpec:
         assert result.elapsed > 0
 
     def test_spec_plus_extra_args_is_a_type_error(self):
-        with pytest.raises(TypeError, match="no further arguments"):
+        with pytest.raises(TypeError, match="algorithm"):
             run_collective_write(spec(), algorithm="no_overlap")
 
     def test_trace_and_metrics_surfaces(self):
@@ -115,101 +115,14 @@ class TestRunWithSpec:
         assert "span.io.dur" not in untraced.metrics["histograms"]
 
 
-class TestLegacyShim:
-    def test_legacy_kwargs_warn_and_match_runspec(self):
-        s = spec()
-        with pytest.warns(DeprecationWarning, match="RunSpec"):
-            legacy = run_collective_write(
-                small_cluster(), small_fs(), 4, views_for(4),
-                algorithm="write_overlap", config=CFG, carry_data=False,
-            )
-        modern = run_collective_write(s)
-        assert legacy.elapsed == modern.elapsed
-        assert legacy.num_cycles == modern.num_cycles
-
-    def test_legacy_shim_warns_exactly_once_and_is_byte_identical(self):
-        # The shim must warn once per call — not zero, not per-argument —
-        # and produce output indistinguishable from the RunSpec path:
-        # identical file bytes (sha of the PFS read-back) and an
-        # identical span timeline.
-        from repro.obs.export import chrome_trace_json
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = run_collective_write(
-                small_cluster(), small_fs(), 4, views_for(4),
-                algorithm="write_overlap", config=CFG,
-                verify=True, trace=True,
-            )
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        modern = run_collective_write(spec(
-            algorithm="write_overlap", carry_data=True,
-            verify=True, trace=True,
-        ))
-        assert legacy.verified is True and modern.verified is True
-        assert legacy.file_sha256 == modern.file_sha256
-        assert legacy.elapsed == modern.elapsed
-        assert chrome_trace_json(legacy.spans) == chrome_trace_json(modern.spans)
-
-    def test_legacy_renamed_keywords_still_work(self):
-        with pytest.warns(DeprecationWarning):
-            result = run_collective_write(
-                cluster_spec=small_cluster(), fs_spec=small_fs(),
-                nprocs=4, views=views_for(4), config=CFG, carry_data=False,
-            )
-        assert result.elapsed > 0
-
-    def test_legacy_duplicate_argument_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="duplicate argument"):
-                run_collective_write(
-                    small_cluster(), small_fs(), 4, views_for(4),
-                    cluster_spec=small_cluster(),
-                )
-
-    def test_legacy_unknown_argument_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="unknown argument"):
-                run_collective_write(
-                    small_cluster(), small_fs(), 4, views_for(4),
-                    config=CFG, carry_data=False, bogus_flag=True,
-                )
-
-    def test_legacy_warns_once_per_call_site_not_per_call(self):
-        # The same source line calling the shim repeatedly (a sweep loop,
-        # say) must not flood the log: one warning for the site, silence
-        # after.  A different call site still gets its own warning.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                run_collective_write(
-                    small_cluster(), small_fs(), 4, views_for(4),
-                    config=CFG, carry_data=False,
-                )
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "RunSpec" in str(deprecations[0].message)
-
-    def test_strict_api_env_raises_instead_of_warning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_API", "1")
-        with pytest.raises(TypeError, match="REPRO_STRICT_API"):
-            run_collective_write(
-                small_cluster(), small_fs(), 4, views_for(4),
-                config=CFG, carry_data=False,
-            )
-
-    def test_strict_api_zero_means_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_API", "0")
-        with pytest.warns(DeprecationWarning):
-            result = run_collective_write(
-                small_cluster(), small_fs(), 4, views_for(4),
-                config=CFG, carry_data=False,
-            )
-        assert result.elapsed > 0
-
-    def test_strict_api_leaves_runspec_path_alone(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_API", "1")
-        assert run_collective_write(spec()).elapsed > 0
+def test_loose_arguments_are_a_type_error():
+    # RunSpec is the only calling convention.  Python's own arity check
+    # rejects several loose arguments; a lone non-spec argument gets a
+    # message that names RunSpec.
+    with pytest.raises(TypeError):
+        run_collective_write(small_cluster(), small_fs(), 4, views_for(4))
+    with pytest.raises(TypeError):
+        run_collective_write(cluster=small_cluster(), fs=small_fs(),
+                             nprocs=4, views=views_for(4))
+    with pytest.raises(TypeError, match="RunSpec"):
+        run_collective_write(small_cluster())

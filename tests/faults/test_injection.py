@@ -5,7 +5,7 @@ byte-exactly, with the recovery visible in trace counters."""
 import numpy as np
 import pytest
 
-from repro.collio import CollectiveConfig, run_collective_write
+from repro.collio import CollectiveConfig, RunSpec, run_collective_write
 from repro.collio.view import FileView
 from repro.errors import ConfigurationError
 from repro.faults import FAULT_PRESETS, FaultSpec, RetryPolicy, fault_preset
@@ -95,10 +95,10 @@ class TestDisabledWorld:
             algorithm="write_overlap",
             config=CollectiveConfig(cb_buffer_size=16 * 1024), verify=True,
         )
-        clean = run_collective_write(small_cluster(), small_fs(), **kwargs)
-        disabled = run_collective_write(
-            small_cluster(), small_fs(), faults=FaultSpec(), **kwargs
-        )
+        clean = run_collective_write(RunSpec(cluster=small_cluster(), fs=small_fs(), **kwargs))
+        disabled = run_collective_write(RunSpec(
+            cluster=small_cluster(), fs=small_fs(), faults=FaultSpec(), **kwargs
+        ))
         assert disabled.elapsed == clean.elapsed
         assert disabled.trace_counters == clean.trace_counters
 
@@ -148,15 +148,15 @@ FAULTY = FaultSpec(write_fail_rate=0.10, straggler_rate=0.05, straggler_factor=4
 def test_ten_percent_failure_rate_byte_exact(algorithm):
     """Acceptance: at a 10% transient-failure rate, every algorithm
     completes byte-exactly, with retries visible in the counters."""
-    res = run_collective_write(
-        small_cluster(), small_fs(), nprocs=8,
+    res = run_collective_write(RunSpec(
+        cluster=small_cluster(), fs=small_fs(), nprocs=8,
         views=contiguous_views(8, 40_000),
         algorithm=algorithm,
         config=CollectiveConfig(cb_buffer_size=16 * 1024),
         verify=True,
         faults=FAULTY,
         retry=RetryPolicy(max_retries=10),
-    )
+    ))
     assert res.verified
     assert res.trace_counters["fault.write_fail"] > 0
     assert res.trace_counters["retry.attempt"] > 0
@@ -169,11 +169,11 @@ def test_faults_slow_the_run_down():
         nprocs=8, views=contiguous_views(8, 40_000), algorithm="no_overlap",
         config=CollectiveConfig(cb_buffer_size=16 * 1024),
     )
-    clean = run_collective_write(small_cluster(), small_fs(), **kwargs)
-    faulty = run_collective_write(
-        small_cluster(), small_fs(),
+    clean = run_collective_write(RunSpec(cluster=small_cluster(), fs=small_fs(), **kwargs))
+    faulty = run_collective_write(RunSpec(
+        cluster=small_cluster(), fs=small_fs(),
         faults=FAULTY, retry=RetryPolicy(max_retries=10), **kwargs
-    )
+    ))
     assert faulty.elapsed > clean.elapsed
 
 

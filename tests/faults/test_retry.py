@@ -6,7 +6,7 @@ surface the *underlying* FileSystemError unchanged."""
 import numpy as np
 import pytest
 
-from repro.collio import CollectiveConfig, run_collective_write
+from repro.collio import CollectiveConfig, RunSpec, run_collective_write
 from repro.collio.view import FileView
 from repro.errors import (
     AioSubmitError,
@@ -61,12 +61,12 @@ class TestRetryPolicy:
 
 class TestErrorSurfacing:
     def run(self, algorithm, faults, retry):
-        return run_collective_write(
-            small_cluster(), small_fs(), nprocs=4,
+        return run_collective_write(RunSpec(
+            cluster=small_cluster(), fs=small_fs(), nprocs=4,
             views=contiguous_views(4, 30_000),
             algorithm=algorithm,
             config=CFG, faults=faults, retry=retry,
-        )
+        ))
 
     def test_no_policy_fails_directly(self):
         with pytest.raises(TransientWriteError):
@@ -98,13 +98,13 @@ class TestErrorSurfacing:
             )
 
     def test_recovery_is_counted(self):
-        res = run_collective_write(
-            small_cluster(), small_fs(), nprocs=4,
+        res = run_collective_write(RunSpec(
+            cluster=small_cluster(), fs=small_fs(), nprocs=4,
             views=contiguous_views(4, 30_000), algorithm="no_overlap",
             config=CFG, verify=True,
             faults=FaultSpec(write_fail_rate=0.5),
             retry=RetryPolicy(max_retries=12),
-        )
+        ))
         assert res.verified
         assert res.trace_counters["retry.recovered"] >= 1
 
@@ -139,14 +139,14 @@ class TestDegradation:
     def test_refused_submissions_degrade_to_blocking(self):
         """With aio permanently refusing, the writer falls back per-write,
         then turns sticky-degraded; the run still completes byte-exactly."""
-        res = run_collective_write(
-            small_cluster(), small_fs(), nprocs=4,
+        res = run_collective_write(RunSpec(
+            cluster=small_cluster(), fs=small_fs(), nprocs=4,
             views=contiguous_views(4, 60_000), algorithm="write_overlap",
             config=CollectiveConfig(cb_buffer_size=8 * 1024),
             verify=True,
             faults=FaultSpec(aio_submit_fail_rate=1.0),
             retry=RetryPolicy(max_retries=4, degrade_after=2),
-        )
+        ))
         assert res.verified
         assert res.trace_counters["fault.aio_submit"] >= 2
         assert res.trace_counters["retry.sync_fallback"] >= 2
@@ -155,13 +155,13 @@ class TestDegradation:
     def test_degradation_is_sticky(self):
         """After degrade_after refusals no further submissions are tried,
         so the refusal count stops growing."""
-        res = run_collective_write(
-            small_cluster(), small_fs(), nprocs=2,
+        res = run_collective_write(RunSpec(
+            cluster=small_cluster(), fs=small_fs(), nprocs=2,
             views=contiguous_views(2, 60_000), algorithm="write_overlap",
             config=CollectiveConfig(cb_buffer_size=8 * 1024),
             faults=FaultSpec(aio_submit_fail_rate=1.0),
             retry=RetryPolicy(degrade_after=1),
-        )
+        ))
         # One aggregator, degrade_after=1: exactly one refusal ever fires.
         assert res.trace_counters["fault.aio_submit"] == res.trace_counters["retry.degraded"]
 
@@ -204,22 +204,22 @@ class TestWriteTimeout:
         """Timeouts shorter than any possible service time exhaust the
         policy; the cause chain points at WriteTimeoutError."""
         with pytest.raises(WriteRetryExhaustedError) as excinfo:
-            run_collective_write(
-                small_cluster(), small_fs(), nprocs=2,
+            run_collective_write(RunSpec(
+                cluster=small_cluster(), fs=small_fs(), nprocs=2,
                 views=contiguous_views(2, 30_000), algorithm="no_overlap",
                 config=CFG,
                 faults=FaultSpec(straggler_rate=1.0, straggler_factor=100.0),
                 retry=RetryPolicy(max_retries=1, write_timeout=1e-9),
-            )
+            ))
         assert isinstance(excinfo.value.__cause__, WriteTimeoutError)
 
     def test_generous_timeout_never_fires(self):
-        res = run_collective_write(
-            small_cluster(), small_fs(), nprocs=4,
+        res = run_collective_write(RunSpec(
+            cluster=small_cluster(), fs=small_fs(), nprocs=4,
             views=contiguous_views(4, 30_000), algorithm="write_overlap",
             config=CFG, verify=True,
             faults=FaultSpec(write_fail_rate=0.2),
             retry=RetryPolicy(max_retries=10, write_timeout=10.0),
-        )
+        ))
         assert res.verified
         assert "retry.timeout" not in res.trace_counters

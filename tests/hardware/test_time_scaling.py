@@ -97,7 +97,7 @@ class TestNetworkNoise:
     def test_ratio_preservation_under_scale(self):
         """A scaled run is the full run with a compressed time unit: the
         elapsed-time *ratio* between two algorithms is scale-invariant."""
-        from repro.collio import CollectiveConfig, run_collective_write
+        from repro.collio import CollectiveConfig, RunSpec, run_collective_write
         from repro.collio.view import FileView
         from repro.fs import beegfs_crill
         from repro.hardware import crill
@@ -108,10 +108,10 @@ class TestNetworkNoise:
             cfg = CollectiveConfig.for_scale(scale)
             times = {}
             for algo in ("no_overlap", "write_overlap"):
-                times[algo] = run_collective_write(
-                    crill(scale=scale), beegfs_crill(scale=scale), 8, views,
+                times[algo] = run_collective_write(RunSpec(
+                    cluster=crill(scale=scale), fs=beegfs_crill(scale=scale), nprocs=8, views=views,
                     algorithm=algo, config=cfg, carry_data=False, seed=3,
-                ).elapsed
+                )).elapsed
             return times["write_overlap"] / times["no_overlap"]
 
         # Not bit-identical (noise draws differ per stream consumption),

@@ -143,16 +143,16 @@ class TestPresetsEndToEnd:
 
 class TestDeterminism:
     def test_same_seed_identical_timing(self):
-        from repro.collio import run_collective_write
+        from repro.collio import RunSpec, run_collective_write
         from repro.collio.view import FileView
 
         views = {r: FileView.contiguous(r * 10_000, 10_000) for r in range(8)}
         times = [
-            run_collective_write(
-                crill(), beegfs_crill(), 8, views,
+            run_collective_write(RunSpec(
+                cluster=crill(), fs=beegfs_crill(), nprocs=8, views=views,
                 algorithm="write_comm2", seed=123, carry_data=False,
                 config=CollectiveConfig(cb_buffer_size=32 * 1024),
-            ).elapsed
+            )).elapsed
             for _ in range(2)
         ]
         assert times[0] == times[1]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.collio import CollectiveConfig, run_collective_write
 from repro.collio.api import RunSpec
-from repro.errors import CorruptDataError
+from repro.errors import CorruptDataError, ReproError, VerificationError
 from repro.faults.spec import FaultSpec
 from repro.integrity import IntegritySpec
 
@@ -66,6 +66,14 @@ def test_scrub_disabled_lets_storage_corruption_through():
     seed = _corrupting_seed()
     with pytest.raises(AssertionError, match="corrupted the file"):
         run_collective_write(_spec(seed, "detect", scrub=False))
+
+
+def test_verify_failure_is_a_typed_error():
+    seed = _corrupting_seed()
+    with pytest.raises(VerificationError, match="corrupted the file") as info:
+        run_collective_write(_spec(seed, "detect", scrub=False))
+    assert isinstance(info.value, ReproError)
+    assert isinstance(info.value, AssertionError)
 
 
 def test_scrub_reports_clean_on_fault_free_run():

@@ -59,7 +59,7 @@ class TestCrashRecovery:
     def test_journal_replay_matches_fault_free_bytes(self, seed):
         # Property: after an injected aggregator crash, the journal-driven
         # replay yields file bytes identical to the fault-free run of the
-        # same seed.  _verify_file reconstructs the expected bytes from
+        # same seed.  verify=True reconstructs the expected bytes from
         # the original views/payloads — exactly the fault-free outcome.
         spec = base_spec("write_comm2", seed=seed,
                          faults=chaos_faults(ost_outage_rate=0.0))
@@ -105,6 +105,27 @@ class TestCrashRecovery:
         assert "fs.writes_rejected" in counters
         assert "fs.writes_failed" in counters
         assert run.metrics["gauges"]["fs.targets_down"] == len(run.recovery.down_targets)
+
+    @pytest.mark.parametrize("staged", [False, True])
+    def test_recovery_metrics_superset_of_fault_free(self, staged):
+        # Both kinds of run leave through one builder, so a recovery run
+        # reports every counter/gauge a fault-free run does.
+        from repro.staging.spec import StagingSpec
+
+        kw = {"staging": StagingSpec(policy="immediate", capacity=1 << 20)} if staged else {}
+        clean = run_collective_write(base_spec("write_overlap", seed=7, **kw))
+        faults = fault_preset("flaky_aggregator").with_(
+            crash_window=0.8 * clean.elapsed)
+        run = run_collective_write(
+            base_spec("write_overlap", seed=7, faults=faults, **kw))
+        assert run.recovery.attempts > 1
+        for kind in ("counters", "gauges"):
+            assert set(run.metrics[kind]) >= set(clean.metrics[kind])
+        counters = run.metrics["counters"]
+        assert (counters["comm.messages_intra_node"]
+                + counters["comm.messages_inter_node"]) > 0
+        if staged:
+            assert "staging.capacity" in run.metrics["gauges"]
 
     def test_fault_free_run_reports_no_recovery(self):
         run = run_collective_write(base_spec("write_overlap", seed=7))

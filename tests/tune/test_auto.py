@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.runner import specs_for
-from repro.collio.api import run_collective_write
+from repro.collio.api import RunSpec, run_collective_write
 from repro.collio.config import CollectiveConfig
 from repro.collio.overlap import ALGORITHMS
 from repro.tune import select_algorithm, views_fingerprint
@@ -25,10 +25,10 @@ def setup():
 
 def _brute_force_best(cluster_spec, fs_spec, views, config, seed=2020):
     points = {
-        name: run_collective_write(
-            cluster_spec, fs_spec, NPROCS, views,
+        name: run_collective_write(RunSpec(
+            cluster=cluster_spec, fs=fs_spec, nprocs=NPROCS, views=views,
             algorithm=name, config=config, seed=seed, carry_data=False,
-        ).elapsed
+        )).elapsed
         for name in ALGORITHMS
     }
     return min(sorted(points), key=lambda n: (points[n], n))
@@ -36,10 +36,10 @@ def _brute_force_best(cluster_spec, fs_spec, views, config, seed=2020):
 
 def test_auto_matches_brute_force(setup):
     cluster_spec, fs_spec, views, config = setup
-    result = run_collective_write(
-        cluster_spec, fs_spec, NPROCS, views,
+    result = run_collective_write(RunSpec(
+        cluster=cluster_spec, fs=fs_spec, nprocs=NPROCS, views=views,
         algorithm="auto", config=config, carry_data=False,
-    )
+    ))
     assert result.algorithm in ALGORITHMS
     assert result.algorithm == _brute_force_best(cluster_spec, fs_spec, views, config)
     assert result.trace_counters["tune.auto_select"] == 1
@@ -49,15 +49,15 @@ def test_auto_matches_brute_force(setup):
 def test_auto_decision_is_cached(setup, tmp_path):
     cluster_spec, fs_spec, views, config = setup
     cache_dir = str(tmp_path / "auto")
-    first = run_collective_write(
-        cluster_spec, fs_spec, NPROCS, views,
+    first = run_collective_write(RunSpec(
+        cluster=cluster_spec, fs=fs_spec, nprocs=NPROCS, views=views,
         algorithm="auto", config=config, carry_data=False, auto_cache_dir=cache_dir,
-    )
+    ))
     assert "tune.auto_cache_hit" not in first.trace_counters
-    second = run_collective_write(
-        cluster_spec, fs_spec, NPROCS, views,
+    second = run_collective_write(RunSpec(
+        cluster=cluster_spec, fs=fs_spec, nprocs=NPROCS, views=views,
         algorithm="auto", config=config, carry_data=False, auto_cache_dir=cache_dir,
-    )
+    ))
     assert second.trace_counters["tune.auto_cache_hit"] == 1
     assert "tune.auto_trials" not in second.trace_counters  # zero simulations
     assert second.algorithm == first.algorithm
@@ -67,10 +67,10 @@ def test_auto_decision_is_cached(setup, tmp_path):
 def test_auto_verifies_file_contents(setup):
     """The chosen algorithm still writes a byte-correct file."""
     cluster_spec, fs_spec, views, config = setup
-    result = run_collective_write(
-        cluster_spec, fs_spec, NPROCS, views,
+    result = run_collective_write(RunSpec(
+        cluster=cluster_spec, fs=fs_spec, nprocs=NPROCS, views=views,
         algorithm="auto", config=config, verify=True,
-    )
+    ))
     assert result.verified is True
 
 
