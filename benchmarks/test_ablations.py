@@ -7,22 +7,16 @@ file runs in a couple of minutes.
 
 import pytest
 
-from repro.bench.ablations import (
-    aggregator_ablation,
-    buffer_size_ablation,
-    eager_threshold_ablation,
-    progress_thread_ablation,
-    storage_noise_ablation,
-)
+from repro.bench.ablations import run_ablation
 
 
 class TestProgressThread:
     @pytest.fixture(scope="class")
     def result(self):
-        return progress_thread_ablation(nprocs=96, reps=2)
+        return run_ablation("progress_thread", nprocs=96, reps=2)
 
     def test_renders(self, result, print_artifact):
-        print_artifact(result.render())
+        print_artifact(result.table().text())
 
     def test_progress_thread_rescues_comm_overlap(self, result):
         """Paper III-A1: background progress is Comm-Overlap's lifeline."""
@@ -40,10 +34,10 @@ class TestProgressThread:
 class TestEagerThreshold:
     @pytest.fixture(scope="class")
     def result(self):
-        return eager_threshold_ablation(nprocs=96, reps=2)
+        return run_ablation("eager_threshold", nprocs=96, reps=2)
 
     def test_renders(self, result, print_artifact):
-        print_artifact(result.render())
+        print_artifact(result.table().text())
 
     def test_full_eager_decouples_the_baseline(self, result):
         """With everything eager, senders never couple to busy
@@ -57,10 +51,10 @@ class TestEagerThreshold:
 class TestBufferSize:
     @pytest.fixture(scope="class")
     def result(self):
-        return buffer_size_ablation(nprocs=96, reps=2)
+        return run_ablation("buffer_size", nprocs=96, reps=2)
 
     def test_renders(self, result, print_artifact):
-        print_artifact(result.render())
+        print_artifact(result.table().text())
 
     def test_tiny_buffers_pay_cycle_overhead(self, result):
         assert result.rows["64 KiB"]["write_overlap"] > result.rows["512 KiB"][
@@ -71,10 +65,10 @@ class TestBufferSize:
 class TestAggregatorCount:
     @pytest.fixture(scope="class")
     def result(self):
-        return aggregator_ablation(nprocs=96, reps=2)
+        return run_ablation("aggregators", nprocs=96, reps=2)
 
     def test_renders(self, result, print_artifact):
-        print_artifact(result.render())
+        print_artifact(result.table().text())
 
     def test_single_aggregator_bottlenecks(self, result):
         assert result.rows["1"]["write_overlap"] > result.rows["auto"]["write_overlap"]
@@ -87,10 +81,10 @@ class TestAggregatorCount:
 class TestStorageNoise:
     @pytest.fixture(scope="class")
     def result(self):
-        return storage_noise_ablation(nprocs=96, reps=2)
+        return run_ablation("storage_noise", nprocs=96, reps=2)
 
     def test_renders(self, result, print_artifact):
-        print_artifact(result.render())
+        print_artifact(result.table().text())
 
     def test_noiseless_storage_kills_the_crill_gain(self, result):
         """Without per-request variance there is (almost) nothing for
@@ -105,6 +99,6 @@ class TestStorageNoise:
 
 def test_bench_one_ablation(benchmark):
     result = benchmark.pedantic(
-        lambda: progress_thread_ablation(nprocs=96, reps=1), rounds=1, iterations=1
+        lambda: run_ablation("progress_thread", nprocs=96, reps=1), rounds=1, iterations=1
     )
     assert "on" in result.rows

@@ -7,7 +7,7 @@ overlap buys little on crill and a lot on Ibex.
 
 import pytest
 
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 
 
 @pytest.fixture(scope="module")
@@ -16,13 +16,13 @@ def breakdown_result():
 
 
 def test_breakdown_regenerates(breakdown_result, print_artifact):
-    print_artifact(reporting.render_breakdown(breakdown_result))
-    assert len(breakdown_result.shares) == 4
+    print_artifact(experiments.breakdown_tables(breakdown_result)[0].text())
+    assert len(breakdown_result) == 4
 
 
 def test_crill_is_io_dominated(breakdown_result):
     """Paper: 93% file access on crill at 576 procs."""
-    for (cluster, _nprocs), (comm, io) in breakdown_result.shares.items():
+    for (cluster, _nprocs), (comm, io) in breakdown_result.items():
         if cluster == "crill":
             assert io >= 0.75
 
@@ -30,16 +30,16 @@ def test_crill_is_io_dominated(breakdown_result):
 def test_ibex_has_larger_communication_share(breakdown_result):
     """Paper: ~23% communication on Ibex vs ~7% on crill."""
     crill_comm = max(
-        comm for (cl, _n), (comm, _io) in breakdown_result.shares.items() if cl == "crill"
+        comm for (cl, _n), (comm, _io) in breakdown_result.items() if cl == "crill"
     )
     ibex_comm = max(
-        comm for (cl, _n), (comm, _io) in breakdown_result.shares.items() if cl == "ibex"
+        comm for (cl, _n), (comm, _io) in breakdown_result.items() if cl == "ibex"
     )
     assert ibex_comm > crill_comm
 
 
 def test_shares_sum_to_one(breakdown_result):
-    for (comm, io) in breakdown_result.shares.values():
+    for (comm, io) in breakdown_result.values():
         assert comm + io == pytest.approx(1.0)
 
 

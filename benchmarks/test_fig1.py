@@ -7,7 +7,7 @@ collective write is ~93% file access.
 
 import pytest
 
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +16,7 @@ def fig1_result():
 
 
 def test_fig1_regenerates(fig1_result, print_artifact):
-    print_artifact(reporting.render_fig1(fig1_result))
+    print_artifact(experiments.fig1_tables(fig1_result)[0].text())
     assert len(fig1_result.points) == 2 * 2 * 5  # clusters x counts x algorithms
 
 

@@ -8,7 +8,7 @@ larger, 8.6-22.3%.
 
 import pytest
 
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 from repro.bench.runner import run_matrix
 
 from benchmarks.conftest import micro_case
@@ -29,17 +29,17 @@ def matrix():
 
 @pytest.fixture(scope="module")
 def fig2_result(matrix):
-    return experiments.fig2(matrix=matrix)
+    return experiments.improvements("crill", matrix)
 
 
 @pytest.fixture(scope="module")
 def fig3_result(matrix):
-    return experiments.fig3(matrix=matrix)
+    return experiments.improvements("ibex", matrix)
 
 
 def test_fig2_fig3_regenerate(fig2_result, fig3_result, print_artifact):
-    print_artifact(reporting.render_improvements(fig2_result, "FIG. 2"))
-    print_artifact(reporting.render_improvements(fig3_result, "FIG. 3"))
+    print_artifact(experiments.improvement_tables(fig2_result)[0].text())
+    print_artifact(experiments.improvement_tables(fig3_result)[0].text())
     assert fig2_result.cluster == "crill"
     assert fig3_result.cluster == "ibex"
 

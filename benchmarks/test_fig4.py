@@ -9,7 +9,7 @@ processes.
 
 import pytest
 
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 from repro.bench.runner import run_matrix
 
 from benchmarks.conftest import micro_case
@@ -25,21 +25,11 @@ def fig4_micro():
         for cluster in ("crill", "ibex")
     ]
     matrix = run_matrix(cases, ["write_comm2"], shuffles=SHUFFLES, reps=2)
-    result = experiments.Fig4Result(matrix=matrix)
-    for benchmark in ("ior", "tile_256", "tile_1m"):
-        row = {s: 0 for s in SHUFFLES}
-        for case_result in matrix.cases(benchmark=benchmark):
-            series = case_result.by_shuffle("write_comm2")
-            winner = min(series.items(), key=lambda kv: (kv[1].point, kv[0]))[0]
-            row[winner] += 1
-            c = case_result.case
-            result.winners[(benchmark, c.cluster, c.nprocs)] = winner
-        result.rows[benchmark] = row
-    return result
+    return experiments.fig4(matrix=matrix)
 
 
 def test_fig4_regenerates(fig4_micro, print_artifact):
-    print_artifact(reporting.render_fig4(fig4_micro))
+    print_artifact(experiments.fig4_tables(fig4_micro)[0].text())
     assert sum(fig4_micro.totals.values()) == 6
 
 

@@ -6,7 +6,7 @@ Paper shape: on a file system with poor ``aio_write`` support
 
 import pytest
 
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +15,7 @@ def lustre_result():
 
 
 def test_lustre_regenerates(lustre_result, print_artifact):
-    print_artifact(reporting.render_lustre(lustre_result))
+    print_artifact(experiments.lustre_tables(lustre_result)[0].text())
     assert set(lustre_result.entries) == {"beegfs", "lustre"}
 
 

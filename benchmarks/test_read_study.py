@@ -18,7 +18,7 @@ def read_result():
 
 
 def test_read_study_regenerates(read_result, print_artifact):
-    print_artifact(read_result.render())
+    print_artifact(experiments.read_tables(read_result)[0].text())
     assert len(read_result.points) == 12  # 2 clusters x 3 algorithms x 2 scatters
 
 

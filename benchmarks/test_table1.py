@@ -7,7 +7,7 @@ share (59/352 = 17%); Comm Overlap alone wins least (42/352 = 12%).
 
 import pytest
 
-from repro.bench import experiments, reporting
+from repro.bench import experiments
 from repro.bench.runner import run_matrix
 from repro.collio.overlap import ASYNC_WRITE_ALGORITHMS
 
@@ -28,7 +28,7 @@ def table1_micro():
 
 
 def test_table1_regenerates(table1_micro, print_artifact):
-    print_artifact(reporting.render_table1(table1_micro))
+    print_artifact(experiments.table1_tables(table1_micro)[0].text())
     assert table1_micro.total_cases == 8
     assert set(table1_micro.rows) == {"ior", "tile_256", "tile_1m", "flash"}
 

@@ -26,7 +26,7 @@ from repro.api import (
     make_workload,
     run_collective_write,
 )
-from repro.bench.reporting import render_tuning
+from repro.bench.experiments import tuning_tables
 from repro.sim import Tracer
 from repro.units import fmt_time
 
@@ -44,7 +44,7 @@ def main() -> None:
             search="halving", reps=3, n_workers=4, cache_dir=cache_dir,
             tracer=tracer,
         )
-        print(render_tuning(result))
+        print(tuning_tables(result)[0].text())
         print(f"\nwinner: {result.best.candidate.label} "
               f"({fmt_time(result.best.point)})")
 

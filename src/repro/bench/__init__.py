@@ -1,28 +1,31 @@
 """Experiment harness reproducing the paper's evaluation (Sec. IV).
 
 The harness runs *cases* — (benchmark, cluster, process count, problem
-size) — with repeated measurements per (case, algorithm) series, and
-derives the paper's artifacts:
+size) — with repeated measurements per (case, algorithm) series
+(:func:`~repro.bench.runner.measure_all`: the one place that owns the
+repetition methodology), and derives the paper's artifacts and the
+extension studies.  Each is one entry of the campaign registry
+``repro.bench.__main__.CAMPAIGNS`` (run -> tables -> gate), rendered
+through the one :class:`~repro.bench.table.Table` type:
 
-* :func:`~repro.bench.experiments.table1` — winner counts per overlap
-  algorithm (Table I);
-* :func:`~repro.bench.experiments.fig1` — Tile-1M execution times at two
-  process counts on both clusters (Fig. 1);
-* :func:`~repro.bench.experiments.fig2` / ``fig3`` — average positive
-  improvement per algorithm x benchmark on crill / Ibex (Figs. 2-3);
-* :func:`~repro.bench.experiments.fig4` — shuffle-primitive winner counts
-  on Write-Comm-2 (Fig. 4), with the crill scale trend (Sec. IV-B);
-* :func:`~repro.bench.experiments.breakdown` — the no-overlap
-  communication/IO split quoted in Sec. IV-A;
-* :func:`~repro.bench.experiments.lustre_note` — the Sec. V note that
-  poor ``aio_write`` support (Lustre) erases Write-Overlap's advantage.
+``table1``, ``fig1``-``fig4``, ``breakdown``, ``lustre``
+    The paper's Table I, Figs. 1-4, the Sec. IV-A phase split and the
+    Sec. V Lustre note (:mod:`repro.bench.experiments`).
+``read``, ``overlap``, ``twolayer``, ``staging``, ``tune``
+    Extension studies X4, X7, X9, X10 and the auto-tuner's ranking (X6)
+    (:mod:`repro.bench.experiments`).
+``ablations``, ``chaos``, ``integrity``, ``perf``
+    :mod:`repro.bench.ablations` (X5), :mod:`repro.bench.chaos` (X8),
+    :mod:`repro.bench.integrity` (X12), :mod:`repro.bench.perf` (X11).
 
-``python -m repro.bench <experiment> [--full] [--reps N] [--scale N]``
-prints each artifact; the ``benchmarks/`` pytest suite runs reduced
-slices of the same code.
+``python -m repro.bench <experiment> [--mode full] [--reps N] [--scale N]
+[--jobs N] [--csv-dir DIR] [--check]`` prints each artifact; the
+``benchmarks/`` pytest suite runs reduced slices of the same code.
 """
 
 from repro.bench.runner import Case, MatrixResult, run_case, run_matrix
-from repro.bench import experiments, reporting
+from repro.bench.table import Column, Table
+from repro.bench import experiments
 
-__all__ = ["Case", "MatrixResult", "run_case", "run_matrix", "experiments", "reporting"]
+__all__ = ["Case", "MatrixResult", "run_case", "run_matrix", "experiments",
+           "Column", "Table"]

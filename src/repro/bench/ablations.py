@@ -33,26 +33,94 @@ testable predictions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
+from typing import Callable
 
-from repro.analysis.stats import Series, relative_improvement
-from repro.bench.runner import specs_for
-from repro.collio.api import RunSpec, run_collective_write
+from repro.analysis.stats import relative_improvement
+from repro.bench.runner import measure_all, specs_for
+from repro.bench.table import Column, Table, csv_columns, pivot
+from repro.collio.api import RunSpec
 from repro.collio.config import CollectiveConfig
-from repro.config import DEFAULT_SCALE, DEFAULT_SEED
+from repro.config import DEFAULT_SCALE
+from repro.faults import FaultSpec, RetryPolicy
 from repro.units import MiB
 from repro.workloads import make_workload
 
-__all__ = [
-    "AblationResult",
-    "progress_thread_ablation",
-    "eager_threshold_ablation",
-    "buffer_size_ablation",
-    "aggregator_ablation",
-    "storage_noise_ablation",
-    "fault_injection_ablation",
-    "ALL_ABLATIONS",
-]
+__all__ = ["Ablation", "AblationResult", "ABLATIONS", "run_ablation", "run_ablations"]
+
+
+@dataclass(frozen=True)
+class Ablation:
+    """One knob flipped on a platform's default IOR scenario."""
+
+    title: str
+    parameter: str
+    platform: str
+    algorithms: tuple[str, ...]
+    #: (cluster_spec, fs_spec, scale) -> {row label: the RunSpec fields
+    #: that setting overrides}
+    settings: Callable[..., dict[str, dict]]
+    notes: str = ""
+
+
+_BLOCKING_VS_ASYNC = ("no_overlap", "comm_overlap", "write_overlap")
+_RETRY = RetryPolicy(max_retries=25)
+
+ABLATIONS = {
+    # Does a progress thread rescue Comm-Overlap?  (paper III-A1)
+    "progress_thread": Ablation(
+        "MPI progress thread", "progress", "ibex", _BLOCKING_VS_ASYNC,
+        lambda cluster, fs, scale: {
+            label: {"cluster": cluster.with_(progress_thread=flag)}
+            for label, flag in (("off", False), ("on", True))},
+        notes="Comm-Overlap relies on background progress of rendezvous traffic.",
+    ),
+    # How does the rendezvous switch-over shape the algorithms?
+    "eager_threshold": Ablation(
+        "eager/rendezvous threshold", "threshold", "ibex", _BLOCKING_VS_ASYNC,
+        lambda cluster, fs, scale: {
+            f"{threshold} B": {"cluster": cluster.with_(eager_threshold=threshold)}
+            for threshold in (512, 8 * 1024, 1 * MiB)},
+        notes="Rendezvous couples senders to busy aggregators (paper III-B1).",
+    ),
+    # Collective buffer size sweep (ompio default: 32 MB unscaled).
+    "buffer_size": Ablation(
+        "collective buffer size", "cb_buffer", "crill", ("no_overlap", "write_overlap"),
+        lambda cluster, fs, scale: {
+            f"{cb >> 10} KiB": {"config": CollectiveConfig.for_scale(scale, cb_buffer_size=cb)}
+            for cb in (64 * 1024, 256 * 1024, 512 * 1024, 2 * MiB)},
+    ),
+    # Aggregator count sweep vs. the automatic selection.
+    "aggregators": Ablation(
+        "aggregator count", "aggregators", "ibex", ("write_overlap",),
+        lambda cluster, fs, scale: {
+            "auto" if count is None else str(count):
+            {"config": CollectiveConfig.for_scale(scale, num_aggregators=count)}
+            for count in (1, 2, 3, None)},
+    ),
+    # Per-request storage variance: what pipelined writes actually hide.
+    "storage_noise": Ablation(
+        "crill storage noise (sigma)", "sigma", "crill", _BLOCKING_VS_ASYNC,
+        lambda cluster, fs, scale: {
+            f"{sigma:.2f}": {"fs": fs.with_(noise_sigma=sigma)}
+            for sigma in (0.0, 0.15, 0.35, 0.6)},
+        notes="HDD service variance is what double-buffered writes hide on crill.",
+    ),
+    # Transient write failures + retries: graceful degradation check.
+    # The 0% row must be bit-identical to a run without the fault
+    # subsystem (a disabled FaultSpec never builds an injector).
+    "fault_injection": Ablation(
+        "transient write faults + retries", "fail_rate", "ibex",
+        ("no_overlap", "comm_overlap", "write_overlap", "write_comm", "write_comm2"),
+        lambda cluster, fs, scale: {
+            f"{rate:.0%}": {
+                "retry": _RETRY,
+                "faults": FaultSpec(write_fail_rate=rate) if rate else None}
+            for rate in (0.0, 0.05, 0.10)},
+        notes="Per-storage-request failure probability; bounded-backoff retries.",
+    ),
+}
 
 
 @dataclass
@@ -68,169 +136,53 @@ class AblationResult:
         row = self.rows[setting]
         return relative_improvement(row[baseline], row[algorithm])
 
-    def render(self) -> str:
+    def table(self) -> Table:
+        """Settings down, algorithms across; the CSV is one row per cell."""
         algorithms = list(next(iter(self.rows.values())))
-        header = [self.parameter] + algorithms
-        widths = [max(len(str(h)), 12) for h in header]
-        lines = [" | ".join(str(h).rjust(w) for h, w in zip(header, widths))]
-        lines.append("-+-".join("-" * w for w in widths))
-        for setting, row in self.rows.items():
-            cells = [setting] + [f"{row[a] * 1e3:.2f} ms" for a in algorithms]
-            lines.append(" | ".join(str(c).rjust(w) for c, w in zip(cells, widths)))
-        title = f"ABLATION — {self.name}"
-        if self.notes:
-            title += f"\n{self.notes}"
-        return title + "\n" + "\n".join(lines)
+        columns = [Column(self.parameter, get=itemgetter(0)),
+                   *pivot(algorithms, str, lambda t: f"{t * 1e3:.2f} ms")]
+        return Table(
+            f"ABLATION — {self.name}" + (f"\n{self.notes}" if self.notes else ""),
+            [replace(c, width=max(len(c.header), 12)) for c in columns],
+            list(self.rows.items()),
+            long=Table("", csv_columns("parameter", "setting", "algorithm", "seconds"), [
+                (self.parameter, setting, algorithm, f"{t:.9f}")
+                for setting, row in self.rows.items() for algorithm, t in row.items()
+            ]),
+        )
 
 
-def _measure(
-    cluster_spec, fs_spec, nprocs, workload, algorithms, config, reps,
-    seed=DEFAULT_SEED, faults=None,
-) -> dict[str, float]:
-    views = workload.views()
-    points = {}
-    for algorithm in algorithms:
-        series = Series(key=("ablation",), algorithm=algorithm)
-        for rep in range(reps):
-            run = run_collective_write(
-                RunSpec(
-                    cluster=cluster_spec, fs=fs_spec, nprocs=nprocs,
-                    views=views, algorithm=algorithm, config=config,
-                    carry_data=False, seed=seed + 1000 * rep, faults=faults,
-                )
-            )
-            series.add(run.elapsed)
-        points[algorithm] = series.point
-    return points
-
-
-def progress_thread_ablation(
-    nprocs: int = 96, reps: int = 2, scale: int = DEFAULT_SCALE
+def run_ablation(
+    name: str, nprocs: int = 96, reps: int = 2, scale: int = DEFAULT_SCALE,
+    jobs: int = 1,
 ) -> AblationResult:
-    """Does a progress thread rescue Comm-Overlap?  (paper III-A1)."""
-    result = AblationResult(
-        "MPI progress thread", "progress",
-        notes="Comm-Overlap relies on background progress of rendezvous traffic.",
+    """Measure every (setting, algorithm) series of ``ABLATIONS[name]``."""
+    ablation = ABLATIONS[name]
+    cluster_spec, fs_spec = specs_for(ablation.platform, scale)
+    settings = ablation.settings(cluster_spec, fs_spec, scale)
+    base = RunSpec(
+        cluster=cluster_spec, fs=fs_spec, nprocs=nprocs, carry_data=False,
+        views=make_workload("ior", nprocs, scale=scale, block_size=4 * MiB).views(),
+        config=CollectiveConfig.for_scale(scale),
     )
-    fs_spec = specs_for("ibex", scale)[1]
-    workload = make_workload("ior", nprocs, scale=scale, block_size=4 * MiB)
-    config = CollectiveConfig.for_scale(scale)
-    for label, flag in (("off", False), ("on", True)):
-        cluster_spec = specs_for("ibex", scale)[0].with_(progress_thread=flag)
-        result.rows[label] = _measure(
-            cluster_spec, fs_spec, nprocs, workload,
-            ["no_overlap", "comm_overlap", "write_overlap"], config, reps,
-        )
-    return result
-
-
-def eager_threshold_ablation(
-    nprocs: int = 96, reps: int = 2, scale: int = DEFAULT_SCALE
-) -> AblationResult:
-    """How does the rendezvous switch-over shape the algorithms?"""
-    result = AblationResult(
-        "eager/rendezvous threshold", "threshold",
-        notes="Rendezvous couples senders to busy aggregators (paper III-B1).",
+    runs = measure_all(
+        [base.replace(algorithm=algorithm, **overrides)
+         for overrides in settings.values() for algorithm in ablation.algorithms],
+        reps, jobs=jobs,
     )
-    base_cluster, fs_spec = specs_for("ibex", scale)
-    workload = make_workload("ior", nprocs, scale=scale, block_size=4 * MiB)
-    config = CollectiveConfig.for_scale(scale)
-    for threshold in (512, 8 * 1024, 1 * MiB):
-        cluster_spec = base_cluster.with_(eager_threshold=threshold)
-        label = f"{threshold} B"
-        result.rows[label] = _measure(
-            cluster_spec, fs_spec, nprocs, workload,
-            ["no_overlap", "comm_overlap", "write_overlap"], config, reps,
-        )
+    result = AblationResult(ablation.title, ablation.parameter, notes=ablation.notes)
+    for label in settings:
+        result.rows[label] = {a: next(runs)[0].point for a in ablation.algorithms}
     return result
 
 
-def buffer_size_ablation(
-    nprocs: int = 96, reps: int = 2, scale: int = DEFAULT_SCALE
-) -> AblationResult:
-    """Collective buffer size sweep (ompio default: 32 MB unscaled)."""
-    result = AblationResult("collective buffer size", "cb_buffer")
-    cluster_spec, fs_spec = specs_for("crill", scale)
-    workload = make_workload("ior", nprocs, scale=scale, block_size=4 * MiB)
-    for cb in (64 * 1024, 256 * 1024, 512 * 1024, 2 * MiB):
-        config = CollectiveConfig.for_scale(scale, cb_buffer_size=cb)
-        result.rows[f"{cb >> 10} KiB"] = _measure(
-            cluster_spec, fs_spec, nprocs, workload,
-            ["no_overlap", "write_overlap"], config, reps,
-        )
-    return result
-
-
-def aggregator_ablation(
-    nprocs: int = 96, reps: int = 2, scale: int = DEFAULT_SCALE
-) -> AblationResult:
-    """Aggregator count sweep vs. the automatic selection."""
-    result = AblationResult("aggregator count", "aggregators")
-    cluster_spec, fs_spec = specs_for("ibex", scale)
-    workload = make_workload("ior", nprocs, scale=scale, block_size=4 * MiB)
-    for count in (1, 2, 3, None):
-        config = CollectiveConfig.for_scale(scale, num_aggregators=count)
-        label = "auto" if count is None else str(count)
-        result.rows[label] = _measure(
-            cluster_spec, fs_spec, nprocs, workload,
-            ["write_overlap"], config, reps,
-        )
-    return result
-
-
-def storage_noise_ablation(
-    nprocs: int = 96, reps: int = 2, scale: int = DEFAULT_SCALE
-) -> AblationResult:
-    """Per-request storage variance: what pipelined writes actually hide."""
-    result = AblationResult(
-        "crill storage noise (sigma)", "sigma",
-        notes="HDD service variance is what double-buffered writes hide on crill.",
-    )
-    cluster_spec, base_fs = specs_for("crill", scale)
-    workload = make_workload("ior", nprocs, scale=scale, block_size=4 * MiB)
-    config = CollectiveConfig.for_scale(scale)
-    for sigma in (0.0, 0.15, 0.35, 0.6):
-        fs_spec = base_fs.with_(noise_sigma=sigma)
-        result.rows[f"{sigma:.2f}"] = _measure(
-            cluster_spec, fs_spec, nprocs, workload,
-            ["no_overlap", "comm_overlap", "write_overlap"], config, reps,
-        )
-    return result
-
-
-def fault_injection_ablation(
-    nprocs: int = 96, reps: int = 2, scale: int = DEFAULT_SCALE
-) -> AblationResult:
-    """Transient write failures + retries: graceful degradation check.
-
-    Sweeps the per-storage-request failure rate with a fixed retry
-    policy; the 0% row must be bit-identical to a run without the fault
-    subsystem (a disabled FaultSpec never builds an injector).
-    """
-    from repro.faults import FaultSpec, RetryPolicy
-
-    result = AblationResult(
-        "transient write faults + retries", "fail_rate",
-        notes="Per-storage-request failure probability; bounded-backoff retries.",
-    )
-    cluster_spec, fs_spec = specs_for("ibex", scale)
-    workload = make_workload("ior", nprocs, scale=scale, block_size=4 * MiB)
-    config = CollectiveConfig.for_scale(scale).with_(retry=RetryPolicy(max_retries=25))
-    algorithms = ["no_overlap", "comm_overlap", "write_overlap", "write_comm", "write_comm2"]
-    for rate in (0.0, 0.05, 0.10):
-        faults = FaultSpec(write_fail_rate=rate)
-        result.rows[f"{rate:.0%}"] = _measure(
-            cluster_spec, fs_spec, nprocs, workload, algorithms, config, reps,
-            faults=faults if faults.enabled else None,
-        )
-    return result
-
-
-ALL_ABLATIONS = {
-    "progress_thread": progress_thread_ablation,
-    "eager_threshold": eager_threshold_ablation,
-    "buffer_size": buffer_size_ablation,
-    "aggregators": aggregator_ablation,
-    "storage_noise": storage_noise_ablation,
-    "fault_injection": fault_injection_ablation,
-}
+def run_ablations(
+    reps: int = 2, scale: int = DEFAULT_SCALE, progress=None, jobs: int = 1
+) -> list[AblationResult]:
+    """Every ablation in turn (the ``ablations`` campaign)."""
+    results = []
+    for name in ABLATIONS:
+        if progress is not None:
+            progress(f"running ablation {name} ...")
+        results.append(run_ablation(name, reps=reps, scale=scale, jobs=jobs))
+    return results

@@ -19,28 +19,29 @@ fault-free duration, so faults land *inside* the collective whatever the
 scenario size; preset fault specs (``--faults flaky_aggregator``) get
 the same rescale applied to their ``crash_window``.
 
-The platform is deliberately small (4 nodes, 4 storage targets): chaos
-reruns the whole collective once per failover, and a small target count
-makes degraded striping (stripes of a dead OST remapped onto survivors)
-a visible fraction of the load.
+The platform is :func:`repro.bench.runner.small_scenario` (4 nodes, 4
+storage targets): a small target count makes degraded striping (stripes
+of a dead OST remapped onto survivors) a visible fraction of the load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
+from repro.bench.experiments import ALGO_LABEL, ALGORITHM_ORDER
 from repro.bench.parallel import parallel_map
+from repro.bench.runner import small_scenario
+from repro.bench.table import Column, Table
 from repro.collio.api import RunSpec, run_collective_write
-from repro.collio.view import FileView
 from repro.config import DEFAULT_SCALE, DEFAULT_SEED
 from repro.errors import ReproError, VerificationError
 from repro.faults.presets import fault_preset
 from repro.faults.spec import FaultSpec
-from repro.fs.presets import FsSpec
-from repro.hardware.cluster import ClusterSpec
-from repro.units import KiB, MB
+from repro.units import fmt_time
 
-__all__ = ["ChaosCell", "ChaosCampaignResult", "chaos_campaign", "CHAOS_LEVELS"]
+__all__ = ["ChaosCell", "ChaosCampaignResult", "chaos_campaign", "chaos_tables",
+           "CHAOS_LEVELS"]
 
 #: The intensity sweep: (label, rank_crash_rate, ost_outage_rate).
 CHAOS_LEVELS: tuple[tuple[str, float, float], ...] = (
@@ -48,32 +49,6 @@ CHAOS_LEVELS: tuple[tuple[str, float, float], ...] = (
     ("mid", 0.50, 0.30),
     ("high", 0.80, 0.60),
 )
-
-#: Every overlap algorithm must survive the campaign.
-CHAOS_ALGORITHMS = (
-    "no_overlap", "comm_overlap", "write_overlap", "write_comm", "write_comm2",
-)
-
-
-def _chaos_cluster() -> ClusterSpec:
-    return ClusterSpec(
-        name="chaos",
-        num_nodes=4,
-        cores_per_node=4,
-        network_bandwidth=1000 * MB,
-        network_latency=1e-6,
-        eager_threshold=1024,
-    )
-
-
-def _chaos_fs() -> FsSpec:
-    return FsSpec(
-        name="chaosfs",
-        num_targets=4,
-        target_bandwidth=300 * MB,
-        target_latency=5e-5,
-        stripe_size=4096,
-    )
 
 
 @dataclass
@@ -109,22 +84,6 @@ class ChaosCampaignResult:
     #: (the built-in intensity sweep).
     preset: str | None = None
     cells: list[ChaosCell] = field(default_factory=list)
-    #: algorithm -> fault-free elapsed at the base seed, seconds.
-    baselines: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def levels(self) -> list[str]:
-        seen: list[str] = []
-        for cell in self.cells:
-            if cell.level not in seen:
-                seen.append(cell.level)
-        return seen
-
-    def cell(self, algorithm: str, level: str) -> ChaosCell:
-        for c in self.cells:
-            if c.algorithm == algorithm and c.level == level:
-                return c
-        raise KeyError((algorithm, level))
 
     @property
     def completion_rate(self) -> float:
@@ -132,53 +91,23 @@ class ChaosCampaignResult:
         runs = sum(c.runs for c in self.cells)
         return sum(c.completions for c in self.cells) / runs if runs else 0.0
 
-
-def _fault_levels(preset: str | None) -> list[tuple[str, FaultSpec]]:
-    """The fault specs to sweep (window rescaled later per algorithm)."""
-    if preset is not None:
-        return [(preset, fault_preset(preset))]
-    return [
-        (label, FaultSpec(rank_crash_rate=crash, ost_outage_rate=outage,
-                          crash_window=1.0))
-        for label, crash, outage in CHAOS_LEVELS
-    ]
+    def gate(self) -> list[str]:
+        """Failures of the ``--check`` acceptance bar: every run must
+        complete and verify (empty = pass)."""
+        if self.completion_rate < 1.0:
+            return [f"completion rate {self.completion_rate:.0%} < 100%"]
+        return []
 
 
-def _chaos_views(nprocs: int, per_rank: int) -> dict[int, FileView]:
-    return {r: FileView.contiguous(r * per_rank, per_rank) for r in range(nprocs)}
+def _baseline(spec: RunSpec) -> float:
+    """Fault-free elapsed of one run (module-level for pool workers)."""
+    return run_collective_write(spec).elapsed
 
 
-def _chaos_baseline(task: tuple) -> float:
-    """Fault-free elapsed of one (algorithm, seed) run (pool-importable)."""
-    algorithm, rep_seed, nprocs, per_rank = task
-    return run_collective_write(RunSpec(
-        cluster=_chaos_cluster(), fs=_chaos_fs(), nprocs=nprocs,
-        views=_chaos_views(nprocs, per_rank), algorithm=algorithm,
-        verify=True, seed=rep_seed,
-    )).elapsed
-
-
-def _chaos_run(task: tuple) -> dict:
-    """One chaos run under a rebuilt, window-armed fault spec.
-
-    Module-level for pool workers; the fault spec is reconstructed from
-    the plain descriptor (preset name, or the sweep's rate pair) so the
-    task carries no live objects.  Returns plain scalars for the fold.
-    """
-    (algorithm, preset, crash, outage, window,
-     rep_seed, nprocs, per_rank) = task
-    if preset is not None:
-        fault_spec = fault_preset(preset)
-    else:
-        fault_spec = FaultSpec(rank_crash_rate=crash, ost_outage_rate=outage,
-                               crash_window=1.0)
+def _chaos_run(spec: RunSpec) -> dict:
+    """One chaos run, folded to plain scalars (module-level for pool workers)."""
     try:
-        run = run_collective_write(RunSpec(
-            cluster=_chaos_cluster(), fs=_chaos_fs(), nprocs=nprocs,
-            views=_chaos_views(nprocs, per_rank), algorithm=algorithm,
-            verify=True, seed=rep_seed,
-            faults=fault_spec.with_(crash_window=window),
-        ))
+        run = run_collective_write(spec)
     except VerificationError:
         raise  # wrong bytes are a simulator bug, not a non-completion
     except ReproError:
@@ -208,69 +137,101 @@ def chaos_campaign(
 ) -> ChaosCampaignResult:
     """Run the chaos sweep; ``faults`` names a preset to use instead.
 
-    ``scale`` divides the per-rank payload (64 KiB at scale 1) like the
-    other experiments.  ``progress(algorithm, level, rep, completed)`` is
-    called after every chaos run.
+    ``scale`` divides the per-rank payload like the other experiments.
+    ``progress`` gets one line per chaos run.
 
     ``jobs`` parallelizes both phases — the fault-free baselines, then
     (their windows known) every chaos run — via
     :func:`repro.bench.parallel.parallel_map`.  Seeds live in the task
-    descriptors (``seed + rep``, unchanged from the serial derivation)
-    and results fold in serial-loop order, so the campaign's tables and
-    CSVs are byte-identical for any ``jobs``; with ``jobs > 1`` the
-    progress callback fires during the fold, after the simulations.
+    specs (``seed + rep``) and results fold in serial-loop order, so the
+    campaign's tables and CSVs are byte-identical for any ``jobs``; the
+    progress lines come during the fold, after the simulations.
     """
-    per_rank = max(4096, int(64 * KiB) // scale)
-    levels = _fault_levels(faults)
+    base = small_scenario("chaos", nprocs, scale)
+    # The fault specs to sweep; their windows are rescaled per algorithm.
+    levels = [(faults, fault_preset(faults))] if faults is not None else [
+        (label, FaultSpec(rank_crash_rate=crash, ost_outage_rate=outage,
+                          crash_window=1.0))
+        for label, crash, outage in CHAOS_LEVELS
+    ]
+    seeds = [seed + i for i in range(reps)]
     result = ChaosCampaignResult(nprocs=nprocs, reps=reps, preset=faults)
 
     # Phase 1: fault-free baselines (they size every fault window).
-    base_tasks = [
-        (algorithm, seed + i, nprocs, per_rank)
-        for algorithm in CHAOS_ALGORITHMS for i in range(reps)
-    ]
-    base_elapsed = iter(parallel_map(_chaos_baseline, base_tasks, jobs=jobs))
-    baselines = {
-        algorithm: {seed + i: next(base_elapsed) for i in range(reps)}
-        for algorithm in CHAOS_ALGORITHMS
-    }
+    base_elapsed = iter(parallel_map(
+        _baseline,
+        [base.replace(algorithm=a, seed=s) for a in ALGORITHM_ORDER for s in seeds],
+        jobs=jobs,
+    ))
+    baselines = {a: {s: next(base_elapsed) for s in seeds} for a in ALGORITHM_ORDER}
 
-    # Phase 2: the chaos runs, windows armed from the base-seed baseline.
-    chaos_tasks = []
-    for algorithm in CHAOS_ALGORITHMS:
-        window = 0.8 * baselines[algorithm][seed]
-        for level, _fault_spec in levels:
-            for i in range(reps):
-                chaos_tasks.append((
-                    algorithm, faults,
-                    _fault_spec.rank_crash_rate, _fault_spec.ost_outage_rate,
-                    window, seed + i, nprocs, per_rank,
-                ))
-    outcomes = iter(parallel_map(_chaos_run, chaos_tasks, jobs=jobs))
+    # Phase 2: the chaos runs, windows armed at ~80% of the base-seed baseline.
+    outcomes = iter(parallel_map(
+        _chaos_run,
+        [base.replace(
+            algorithm=a, seed=s,
+            faults=fault_spec.with_(crash_window=0.8 * baselines[a][seed]))
+         for a in ALGORITHM_ORDER for _, fault_spec in levels for s in seeds],
+        jobs=jobs,
+    ))
 
-    for algorithm in CHAOS_ALGORITHMS:
-        result.baselines[algorithm] = baselines[algorithm][seed]
-        for level, _fault_spec in levels:
+    for algorithm in ALGORITHM_ORDER:
+        for level, _ in levels:
             cell = ChaosCell(algorithm=algorithm, level=level)
             result.cells.append(cell)
-            for i in range(reps):
+            for i, rep_seed in enumerate(seeds):
                 o = next(outcomes)
                 cell.runs += 1
+                if progress is not None:
+                    progress(f"chaos {algorithm:14s} {level:18s} rep {i}: "
+                             f"{'ok' if o['completed'] else 'FAILED'}")
                 if not o["completed"]:
-                    if progress is not None:
-                        progress(algorithm, level, i, False)
                     continue
                 cell.completions += 1
                 cell.attempts += o["attempts"]
-                cell.slowdown += o["elapsed"] / baselines[algorithm][seed + i]
+                cell.slowdown += o["elapsed"] / baselines[algorithm][rep_seed]
                 cell.recovery_latency += o["failover_time"]
                 cell.rank_crashes += o["rank_crashes"]
                 cell.ost_outages += o["ost_outages"]
                 cell.replayed_bytes += o["replayed_bytes"]
-                if progress is not None:
-                    progress(algorithm, level, i, True)
             if cell.completions:
                 cell.attempts /= cell.completions
                 cell.slowdown /= cell.completions
                 cell.recovery_latency /= cell.completions
     return result
+
+
+def chaos_tables(result: ChaosCampaignResult) -> list[Table]:
+    """X8: completion / slowdown / recovery latency per (algorithm, level)."""
+    a = attrgetter
+
+    def mean(header, name, field, text, csv):
+        """A mean over completed runs: "-" in text when none completed."""
+        return Column(
+            header, name, lambda c: c,
+            lambda c: text(getattr(c, field)) if c.completions else "-",
+            lambda c: csv.format(getattr(c, field)),
+        )
+
+    source = (f"preset={result.preset}" if result.preset
+              else "crash/outage intensity sweep")
+    return [Table(
+        f"X8 — chaos campaign ({source}, P={result.nprocs}, reps={result.reps})",
+        [Column("Algorithm", "algorithm", a("algorithm"), ALGO_LABEL.get),
+         Column("Level", "level", a("level")),
+         Column(None, "runs", a("runs")),
+         Column("Complete", get=lambda c: f"{c.completions}/{c.runs}"),
+         Column(None, "completions", a("completions")),
+         Column(None, "completion_rate", a("completion_rate"), csv="{:.6f}"),
+         mean("Attempts", "attempts_mean", "attempts", "{:.1f}".format, "{:.6f}"),
+         mean("Slowdown", "slowdown_mean", "slowdown", "{:.2f}x".format, "{:.6f}"),
+         mean("Recovery", "recovery_latency_seconds", "recovery_latency",
+              fmt_time, "{:.9f}"),
+         Column("Crashes", "rank_crashes", a("rank_crashes")),
+         Column("Outages", "ost_outages", a("ost_outages")),
+         Column(None, "replayed_bytes", a("replayed_bytes"))],
+        result.cells,
+        f"overall completion rate: {result.completion_rate:.0%}; "
+        "slowdown/recovery are means over completed runs vs the same-seed "
+        "fault-free baseline",
+    )]

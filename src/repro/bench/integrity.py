@@ -21,7 +21,7 @@ without the staging tier, and reports per cell:
   and the end-of-job scrub on a clean run).
 
 The campaign doubles as the acceptance test of the integrity subsystem:
-the CI smoke job runs it with ``--check-integrity``, which demands 100%
+the CI smoke job runs it with ``--check``, which demands 100%
 detection, 100% repair, zero false positives and at least one corrupted
 run per cell (anything less means the preset rates are mistuned for the
 scenario size).
@@ -36,47 +36,23 @@ verdict is a valid oracle for what the checking modes faced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
+from repro.bench.experiments import ALGO_LABEL, ALGORITHM_ORDER
 from repro.bench.parallel import parallel_map
+from repro.bench.runner import small_scenario
+from repro.bench.table import Column, Table
 from repro.collio.api import RunSpec, run_collective_write
 from repro.collio.config import CollectiveConfig
-from repro.collio.view import FileView
 from repro.config import DEFAULT_SCALE, DEFAULT_SEED
 from repro.errors import CorruptDataError, ReproError
 from repro.faults.presets import fault_preset
-from repro.fs.presets import FsSpec
-from repro.hardware.cluster import ClusterSpec
 from repro.integrity.spec import IntegritySpec
 from repro.staging.spec import StagingSpec
-from repro.units import KiB, MB
+from repro.units import KiB
 
-__all__ = ["IntegrityCell", "IntegrityCampaignResult", "integrity_campaign"]
-
-#: Every overlap algorithm must survive the campaign.
-INTEGRITY_ALGORITHMS = (
-    "no_overlap", "comm_overlap", "write_overlap", "write_comm", "write_comm2",
-)
-
-
-def _integrity_cluster() -> ClusterSpec:
-    return ClusterSpec(
-        name="bitrot",
-        num_nodes=4,
-        cores_per_node=4,
-        network_bandwidth=1000 * MB,
-        network_latency=1e-6,
-        eager_threshold=1024,
-    )
-
-
-def _integrity_fs() -> FsSpec:
-    return FsSpec(
-        name="bitrotfs",
-        num_targets=4,
-        target_bandwidth=300 * MB,
-        target_latency=5e-5,
-        stripe_size=4096,
-    )
+__all__ = ["IntegrityCell", "IntegrityCampaignResult", "integrity_campaign",
+           "integrity_tables"]
 
 
 @dataclass
@@ -124,12 +100,6 @@ class IntegrityCampaignResult:
     preset: str = "bitrot_cluster"
     cells: list[IntegrityCell] = field(default_factory=list)
 
-    def cell(self, algorithm: str, staged: bool) -> IntegrityCell:
-        for c in self.cells:
-            if c.algorithm == algorithm and c.staged == staged:
-                return c
-        raise KeyError((algorithm, staged))
-
     @property
     def corrupted(self) -> int:
         return sum(c.corrupted for c in self.cells)
@@ -151,7 +121,7 @@ class IntegrityCampaignResult:
     def check_ok(self) -> bool:
         """The CI gate: perfect detection and repair, and faults that fire.
 
-        ``--check-integrity`` demands every injected corruption detected
+        ``--check`` demands every injected corruption detected
         (no misses), every corrupted run repaired byte-exactly, zero
         false positives, and at least one corrupted run overall — a
         campaign where no corruption fired proves nothing.
@@ -164,32 +134,29 @@ class IntegrityCampaignResult:
             and self.repair_rate == 1.0
         )
 
+    def gate(self) -> list[str]:
+        """Failures of the ``--check`` acceptance bar (empty = pass)."""
+        if self.check_ok():
+            return []
+        return [f"detection {self.detection_rate:.0%}, repair "
+                f"{self.repair_rate:.0%}, false positives {self.false_positives}, "
+                f"corrupted runs {self.corrupted}"]
 
-def _integrity_rep(task: tuple) -> dict:
-    """One (algorithm, tier, seed) trio of checked runs.
 
-    Module-level so pool workers can import it; the task tuple is plain
-    data and everything (views, faults, specs) is rebuilt locally, so a
-    worker's result depends only on the descriptor — never on which
-    process ran it.  Returns plain scalars for the in-order fold.
+def _integrity_rep(spec: RunSpec) -> dict:
+    """One (algorithm, tier, seed) cell: six checked runs of ``spec``.
+
+    Module-level so pool workers can import it; the result depends only
+    on the spec — never on which process ran it.  Returns plain scalars
+    for the in-order fold.
     """
-    algorithm, staged, rep_seed, nprocs, per_rank = task
-    views = {r: FileView.contiguous(r * per_rank, per_rank) for r in range(nprocs)}
     faults = fault_preset("bitrot_cluster")
 
-    def config(mode: str | None) -> CollectiveConfig:
-        return CollectiveConfig(
-            cb_buffer_size=16 * KiB,
-            staging=StagingSpec() if staged else None,
-            integrity=IntegritySpec(mode=mode) if mode else None,
-        )
-
     def run(mode: str | None, faulty: bool):
-        return run_collective_write(RunSpec(
-            cluster=_integrity_cluster(), fs=_integrity_fs(),
-            nprocs=nprocs, views=views, algorithm=algorithm,
-            config=config(mode), verify=True,
-            seed=rep_seed, faults=faults if faulty else None,
+        return run_collective_write(spec.replace(
+            config=spec.config.with_(
+                integrity=IntegritySpec(mode=mode) if mode else None),
+            faults=faults if faulty else None,
         ))
 
     out = {
@@ -250,33 +217,37 @@ def integrity_campaign(
     progress=None,
     jobs: int = 1,
 ) -> IntegrityCampaignResult:
-    """Run the integrity matrix; ``progress(algorithm, staged, rep, outcome)``
-    is called after every seed's trio of checked runs.
+    """Run the integrity matrix; ``progress`` gets one line per seed's
+    cell of checked runs.
 
-    ``scale`` divides the per-rank payload (64 KiB at scale 1) like the
-    other experiments.  Each (algorithm, tier, seed) cell costs six
+    ``scale`` divides the per-rank payload like the other experiments.
+    Each (algorithm, tier, seed) cell costs six
     simulated runs: off/detect/repair fault-free (baseline + overheads +
     false-positive check) and off/detect/repair under ``bitrot_cluster``
     (ground truth + detection + repair).
 
     ``jobs`` fans the (algorithm, tier, seed) trios out over a process
     pool (:func:`repro.bench.parallel.parallel_map`); every per-run seed
-    is carried inside the task descriptor and results are folded in
+    is carried inside the task spec and results are folded in
     serial-loop order, so the campaign's tables and CSVs are
-    byte-identical for any ``jobs``.  With ``jobs > 1`` the progress
-    callback fires during the fold, after the simulations.
+    byte-identical for any ``jobs``; the progress lines come during the
+    fold, after the simulations.
     """
-    per_rank = max(4096, int(64 * KiB) // scale)
+    base = small_scenario("bitrot", nprocs, scale)
     result = IntegrityCampaignResult(nprocs=nprocs, reps=reps)
-    tasks = [
-        (algorithm, staged, seed + i, nprocs, per_rank)
-        for algorithm in INTEGRITY_ALGORITHMS
-        for staged in (False, True)
-        for i in range(reps)
-    ]
-    outcomes = iter(parallel_map(_integrity_rep, tasks, jobs=jobs))
+    outcomes = iter(parallel_map(
+        _integrity_rep,
+        [base.replace(
+            algorithm=algorithm, seed=seed + i,
+            config=CollectiveConfig(cb_buffer_size=16 * KiB,
+                                    staging=StagingSpec() if staged else None))
+         for algorithm in ALGORITHM_ORDER
+         for staged in (False, True)
+         for i in range(reps)],
+        jobs=jobs,
+    ))
 
-    for algorithm in INTEGRITY_ALGORITHMS:
+    for algorithm in ALGORITHM_ORDER:
         for staged in (False, True):
             cell = IntegrityCell(algorithm=algorithm, staged=staged)
             result.cells.append(cell)
@@ -303,10 +274,56 @@ def integrity_campaign(
                 cell.detected_events += o["detected_events"]
                 cell.repaired_events += o["repaired_events"]
                 if progress is not None:
-                    progress(algorithm, staged, i,
-                             o["outcome"] if o["corrupted"] else "clean")
+                    progress(f"integrity {algorithm:14s} "
+                             f"{'staged' if staged else 'direct':6s} rep {i}: "
+                             f"{o['outcome'] if o['corrupted'] else 'clean'}")
             if overhead_detect:
                 cell.detect_overhead = sum(overhead_detect) / len(overhead_detect)
             if overhead_repair:
                 cell.repair_overhead = sum(overhead_repair) / len(overhead_repair)
     return result
+
+
+def integrity_tables(result: IntegrityCampaignResult) -> list[Table]:
+    """X12: detection / repair / overhead per (algorithm, staging tier)."""
+    a = attrgetter
+
+    def of_corrupted(header, field):
+        """A count of the corrupted runs: "n/corrupted" in text."""
+        return Column(
+            header, field, lambda c: c,
+            lambda c: f"{getattr(c, field)}/{c.corrupted}" if c.corrupted else "-",
+            a(field),
+        )
+
+    def overhead(header, name):
+        return Column(header, name, a(name),
+                      lambda v: f"{(v - 1) * 100:+.1f}%" if v else "-", "{:.6f}")
+
+    return [Table(
+        f"X12 — integrity campaign (preset={result.preset}, "
+        f"P={result.nprocs}, reps={result.reps})",
+        [Column("Algorithm", "algorithm", a("algorithm"), ALGO_LABEL.get),
+         Column("Staging", "staging", lambda c: "on" if c.staged else "off"),
+         Column(None, "runs", a("runs")),
+         Column("Corrupt", "corrupted", lambda c: c,
+                lambda c: f"{c.corrupted}/{c.runs}", a("corrupted")),
+         of_corrupted("Detected", "detected"),
+         Column(None, "missed", a("missed")),
+         of_corrupted("Repaired", "repaired"),
+         Column("Missed", get=a("missed")),
+         Column(None, "repair_failed", a("repair_failed")),
+         Column("FalsePos", "false_positives", a("false_positives")),
+         Column(None, "detection_rate", a("detection_rate"), csv="{:.6f}"),
+         Column(None, "repair_rate", a("repair_rate"), csv="{:.6f}"),
+         overhead("Detect ovh", "detect_overhead"),
+         overhead("Repair ovh", "repair_overhead"),
+         Column(None, "detected_events", a("detected_events")),
+         Column(None, "repaired_events", a("repaired_events"))],
+        result.cells,
+        f"corrupted runs: {result.corrupted}; "
+        f"detection rate: {result.detection_rate:.0%}; "
+        f"repair rate: {result.repair_rate:.0%}; "
+        f"false positives: {result.false_positives}; overheads are "
+        "fault-free elapsed vs mode=off (carried checksums + commit verify + scrub)",
+    )]

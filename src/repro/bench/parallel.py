@@ -6,9 +6,10 @@ out over a ``multiprocessing`` pool through :func:`parallel_map`.  The
 contract that makes ``--jobs 4`` output byte-identical to serial runs:
 
 * **Tasks are pure module-level functions of plain data.**  Workers
-  receive a picklable descriptor, rebuild specs/views/config locally and
-  return plain scalars — no live simulator object ever crosses the pool
-  boundary, so fork/spawn differences cannot leak into results.
+  receive a picklable descriptor — usually the frozen ``RunSpec`` of the
+  run itself — and return plain results; no live simulator object ever
+  crosses the pool boundary, so fork/spawn differences cannot leak into
+  results.
 * **Order-preserving fold.**  ``parallel_map`` returns results in input
   order (``Pool.map``, not ``imap_unordered``), and the campaigns fold
   them into cells in exactly the order the serial loop would have; the

@@ -1,8 +1,12 @@
-"""CLI argument validation and the ``tune`` subcommand."""
+"""CLI argument validation, the ``tune`` subcommand and output snapshots."""
+
+import pathlib
 
 import pytest
 
 from repro.bench.__main__ import main
+
+SNAPSHOTS = pathlib.Path(__file__).parent / "snapshots"
 
 
 class TestArgumentValidation:
@@ -21,14 +25,20 @@ class TestArgumentValidation:
             ["table1", "--jobs", "0"],
             ["integrity", "--jobs", "-2"],
             ["table1", "--max-integrity-overhead", "0.25"],  # perf-only flag
+            # Rejected before any campaign of `all` simulates.
+            ["all", "--faults", "nope"],
+            ["chaos", "--faults", "nope"],
+            ["table1", "--faults", "ost_outage"],  # chaos-only flag
+            ["table1", "--check"],  # no gate to check
         ],
     )
     def test_bad_arguments_exit_with_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2  # argparse usage-error convention
-        err = capsys.readouterr().err
-        assert "usage:" in err
+        captured = capsys.readouterr()
+        assert "usage:" in captured.err
+        assert captured.out == ""  # no table was printed
 
     def test_reps_error_message_names_the_flag(self, capsys):
         with pytest.raises(SystemExit):
@@ -73,3 +83,34 @@ class TestTuneSubcommand:
         ])
         out2 = capsys.readouterr().out
         assert "0 simulations run (100% cache hits)" in out2
+
+
+class TestOutputSnapshots:
+    """The rendered text and CSV of three fast campaigns, byte for byte
+    (captured before the campaigns moved onto the shared ``Table``)."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("chaos", ["--nprocs", "4", "--reps", "1", "--scale", "64"]),
+            ("integrity", ["--nprocs", "4", "--reps", "1", "--scale", "64"]),
+            ("tune", ["--nprocs", "2", "--scale", "1024", "--reps", "2",
+                      "--n-workers", "1"]),
+        ],
+    )
+    def test_stdout_and_csv_match_snapshot(self, name, argv, tmp_path, capsys):
+        assert main([name, *argv, "--quiet", "--csv-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (SNAPSHOTS / f"{name}.txt").read_text()
+        assert (tmp_path / f"{name}.csv").read_text() == (
+            SNAPSHOTS / f"{name}.csv").read_text()
+
+
+class TestCheckGate:
+    def test_failed_gate_exits_one_and_names_the_campaign(self, monkeypatch, capsys):
+        from repro.bench import chaos
+
+        monkeypatch.setattr(chaos.ChaosCampaignResult, "completion_rate", 0.5)
+        argv = ["chaos", "--nprocs", "4", "--reps", "1", "--scale", "64", "--quiet"]
+        assert main(argv) == 0  # without --check the gate is not evaluated
+        assert main([*argv, "--check"]) == 1
+        assert "chaos check FAILED: completion rate 50% < 100%" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from repro.bench.experiments import (
     Fig1Result,
     Fig4Result,
     Table1Result,
-    _improvements,
+    improvements,
     table1,
 )
 from repro.bench.runner import Case, CaseResult, MatrixResult
@@ -59,7 +59,7 @@ class TestTable1Derivation:
 
 class TestImprovementDerivation:
     def test_positive_only_average(self):
-        res = _improvements(synthetic_matrix(), "ibex")
+        res = improvements("ibex", synthetic_matrix())
         # write_overlap on ior@ibex: +20%; on flash@ibex: +5%.
         assert res.values[("write_overlap", "ior")] == pytest.approx(0.2)
         assert res.values[("write_overlap", "flash")] == pytest.approx(0.05)
@@ -68,7 +68,7 @@ class TestImprovementDerivation:
         assert res.values[("comm_overlap", "flash")] is None
 
     def test_crill_losses_excluded_entirely(self):
-        res = _improvements(synthetic_matrix(), "crill")
+        res = improvements("crill", synthetic_matrix())
         assert res.values[("comm_overlap", "ior")] is None
         assert res.range_over_all() == (0.0, 0.0)
 

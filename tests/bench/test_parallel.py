@@ -5,17 +5,19 @@ byte-identical to serial for any ``N``: tasks are pure functions of
 plain descriptors, seeds live in the descriptors (never in worker
 identity), and results fold back in input order.  These tests pin the
 primitive (``parallel_map``, ``content_seed``) and the contract at the
-campaign level — a real integrity campaign and experiment matrix run
-serial and fanned-out must render identical CSVs.
+campaign level — a real integrity campaign, an ablation (one of the
+campaigns that fan out through ``measure_all``) and an experiment matrix
+run serial and fanned-out must render identical CSVs.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.integrity import integrity_campaign
+from repro.bench import runner
+from repro.bench.ablations import run_ablation
+from repro.bench.integrity import integrity_campaign, integrity_tables
 from repro.bench.parallel import content_seed, parallel_map
-from repro.bench.reporting import integrity_csv
 from repro.bench.runner import Case, run_matrix
 
 
@@ -89,7 +91,26 @@ class TestCampaignDeterminism:
     def test_integrity_campaign_csv_identical(self):
         serial = integrity_campaign(nprocs=4, reps=1, scale=64, seed=5)
         fanned = integrity_campaign(nprocs=4, reps=1, scale=64, seed=5, jobs=2)
-        assert integrity_csv(fanned) == integrity_csv(serial)
+        assert integrity_tables(fanned)[0].csv() == integrity_tables(serial)[0].csv()
+
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_measured_series_campaign_csv_identical(self, reps, monkeypatch):
+        """``--jobs`` is honoured by the campaigns built on ``measure_all``
+        (they used to accept the flag and run serially): every
+        (spec, rep) task reaches the pool, and the CSV does not change."""
+        fanned_out = []
+
+        def recording_map(fn, items, jobs=1):
+            fanned_out.append((len(items), jobs))
+            return parallel_map(fn, items, jobs=jobs)
+
+        monkeypatch.setattr(runner, "parallel_map", recording_map)
+        serial = run_ablation("aggregators", nprocs=8, reps=reps)
+        assert fanned_out == []
+        fanned = run_ablation("aggregators", nprocs=8, reps=reps, jobs=2)
+        assert fanned_out == [(4 * reps, 2)]
+        assert fanned.table().csv() == serial.table().csv()
+        assert len(serial.table().csv().splitlines()) == 1 + 4
 
     def test_run_matrix_samples_identical(self):
         cases = [Case("ior", "crill", 4), Case("ior", "ibex", 4)]
