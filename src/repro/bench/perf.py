@@ -9,6 +9,11 @@ trajectory.  Each case reports
                     (plan construction included: that is what tuning
                     sweeps pay per trial);
 * ``events``      — discrete events processed by the engine;
+* ``wakeups``     — events plus timeout requests that joined an already
+                    scheduled cohort (``sim.timeouts_coalesced``): the
+                    count that stays comparable across reports recorded
+                    before and after cohort dispatch, where ``events``
+                    and ``events_per_s`` drop while wall improves;
 * ``events_per_s``— events / wall, the engine's throughput;
 * ``peak_rss_kb`` — process high-water RSS after the case.
 
@@ -103,6 +108,7 @@ class PerfCase:
     wall_s: float
     sim_elapsed: float
     events: int
+    wakeups: int
     events_per_s: float
     peak_rss_kb: int
 
@@ -201,13 +207,14 @@ class PerfReport:
             "PERF — simulator self-benchmark "
             f"(calibration loop {self.calibration.loop_s * 1e3:.1f} ms)",
             f"{'scale':8s} {'algorithm':15s} {'staging':8s} "
-            f"{'wall (s)':>9s} {'events':>8s} {'ev/s':>10s} {'rss (MB)':>9s}",
+            f"{'wall (s)':>9s} {'events':>8s} {'wake-ups':>8s} {'ev/s':>10s} "
+            f"{'rss (MB)':>9s}",
         ]
         for c in self.cases:
             lines.append(
                 f"{c.scale:8s} {c.algorithm:15s} "
                 f"{'on' if c.staging else 'off':8s} {c.wall_s:9.4f} "
-                f"{c.events:8d} {c.events_per_s:10.0f} "
+                f"{c.events:8d} {c.wakeups:8d} {c.events_per_s:10.0f} "
                 f"{c.peak_rss_kb / 1024:9.1f}"
             )
         for name in PERF_SCALES:
@@ -263,7 +270,7 @@ def run_perf(
     for scale in PERF_SCALES:
         for algorithm in sorted(ALGORITHMS):
             for staging in (False, True):
-                best_wall, events, sim_elapsed = None, 0, 0.0
+                best_wall, events, wakeups, sim_elapsed = None, 0, 0, 0.0
                 for rep in range(max(1, reps)):
                     spec = _case_spec(scale, algorithm, staging, seed)
                     t0 = time.perf_counter()
@@ -271,14 +278,14 @@ def run_perf(
                     wall = time.perf_counter() - t0
                     if best_wall is None or wall < best_wall:
                         best_wall = wall
-                        events = result.metrics["counters"].get(
-                            "sim.events_processed", 0
-                        )
+                        counters = result.metrics["counters"]
+                        events = counters.get("sim.events_processed", 0)
+                        wakeups = events + counters.get("sim.timeouts_coalesced", 0)
                         sim_elapsed = result.elapsed
                 case = PerfCase(
                     scale=scale, algorithm=algorithm, staging=staging,
                     wall_s=round(best_wall, 6), sim_elapsed=sim_elapsed,
-                    events=int(events),
+                    events=int(events), wakeups=int(wakeups),
                     events_per_s=round(events / best_wall if best_wall else 0.0, 1),
                     peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
                 )

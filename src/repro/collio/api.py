@@ -553,6 +553,7 @@ class RunPipeline:
         self.trace_counters.update(world.cluster.tracer.counters)
         metrics.merge_counters(world.cluster.tracer.counters)
         metrics.counter("sim.events_processed").inc(world.engine.events_processed)
+        metrics.counter("sim.timeouts_coalesced").inc(world.engine.timeouts_coalesced)
         metrics.gauge("sim.max_heap_len").max(world.engine.max_heap_len)
         targets = world.pfs.targets
         self.bytes_written += world.pfs.bytes_written

@@ -72,12 +72,13 @@ class CollectiveModel:
 class _PendingCollective:
     """State of one in-flight collective instance."""
 
-    __slots__ = ("kind", "entered", "events", "payloads", "sizes", "root")
+    __slots__ = ("kind", "entered", "exit", "payloads", "sizes", "root")
 
-    def __init__(self, kind: str) -> None:
+    def __init__(self, kind: str, exit: Event) -> None:
         self.kind = kind
         self.entered: dict[int, float] = {}
-        self.events: dict[int, Event] = {}
+        #: The one event every rank waits on; ranks resume in entry order.
+        self.exit = exit
         self.payloads: dict[int, Any] = {}
         self.sizes: dict[int, int] = {}
         self.root: int | None = None
@@ -110,17 +111,19 @@ class CollectiveEngine:
         nbytes: int = 0,
         root: int | None = None,
     ) -> Event:
-        """Record ``rank`` entering collective ``seq``; returns its exit event.
+        """Record ``rank`` entering collective ``seq``; returns the exit event.
 
-        The event's value is the collective's result: ``None`` for barrier,
-        the root's payload for bcast, the list of payloads for allgather,
-        the reduced value for allreduce.
+        All ranks of one instance get the same event and must wait on it
+        right away, so its callback list is the entry order.  Its value
+        is the collective's result: ``None`` for barrier, the root's
+        payload for bcast, the list of payloads for allgather, the
+        reduced value for allreduce.
         """
         if kind not in self.KINDS:
             raise MPIError(f"unknown collective kind {kind!r}")
         op = self._pending.get(seq)
         if op is None:
-            op = _PendingCollective(kind)
+            op = _PendingCollective(kind, self.engine.event())
             self._pending[seq] = op
         if op.kind != kind:
             raise MPIError(
@@ -136,11 +139,9 @@ class CollectiveEngine:
         op.entered[rank] = self.engine.now
         op.payloads[rank] = payload
         op.sizes[rank] = int(nbytes)
-        evt = self.engine.event()
-        op.events[rank] = evt
         if len(op.entered) == self.nprocs:
             self._complete(seq, op)
-        return evt
+        return op.exit
 
     def _complete(self, seq: int, op: _PendingCollective) -> None:
         del self._pending[seq]
@@ -148,10 +149,10 @@ class CollectiveEngine:
         cost = self._cost_of(op)
         finish = max(op.entered.values()) + cost
         result = self._result_of(op)
-        delay = max(0.0, finish - self.engine.now)
-        for evt in op.events.values():
-            trigger = self.engine.timeout(delay)
-            trigger.callbacks.append(lambda _e, evt=evt: evt.succeed(result))
+        # Two stages (timer, then exit event) so the ranks resume behind
+        # whatever else was already scheduled for the finish instant.
+        trigger = self.engine.timeout(max(0.0, finish - self.engine.now))
+        trigger.callbacks.append(lambda _e: op.exit.succeed(result))
 
     def _cost_of(self, op: _PendingCollective) -> float:
         model, nprocs = self.model, self.nprocs

@@ -13,6 +13,10 @@ The model follows the classic event-scheduling world view:
 * The :class:`Engine` owns the clock and the event heap.  Two events
   scheduled for the same instant are processed in the order they were
   scheduled (FIFO), which makes runs bit-for-bit reproducible.
+* Waiters that would wake back to back share one heap entry (*cohort
+  dispatch*, see :meth:`Engine.timeout`): the order waiters run in is
+  the ``(when, seq)`` order either way, only the number of heap
+  operations differs.
 
 The kernel knows nothing about MPI, networks or file systems; those layers
 are built on top of it.
@@ -21,7 +25,8 @@ are built on top of it.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable
+import math
+from typing import Any, Callable, Generator, Iterable, Sequence
 
 from repro.errors import DeadlockError, SimulationError
 
@@ -29,6 +34,9 @@ __all__ = ["Engine", "Event", "Process", "Timeout"]
 
 # Sentinel for "event outcome not yet decided".
 _PENDING = object()
+
+# ``Engine._loop``'s stop count for a run that nothing stops early.
+_NO_STOP_COUNT = (1,)
 
 
 class Event:
@@ -120,18 +128,32 @@ class Timeout(Event):
     __slots__ = ("delay", "_pending_value")
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(engine)
+        if not 0 <= delay < math.inf:  # also rejects NaN, which no "<" catches
+            raise ValueError(f"timeout delay must be finite and >= 0, got {delay}")
+        # Event.__init__ and Engine._push written out: one timeout per
+        # message, call overhead and I/O piece makes this the most
+        # executed constructor of a run.
+        self.engine = engine
+        self.callbacks = []
+        self.triggered = False
+        self.processed = False
+        self.ok = True
+        self._outcome = _PENDING
+        self.defused = False
         self.delay = delay
         self._pending_value = value
-        engine._push(self, delay=delay)
+        engine._seq += 1
+        heap = engine._heap
+        heapq.heappush(heap, (engine.now + delay, engine._seq, self))
+        if len(heap) > engine.max_heap_len:
+            engine.max_heap_len = len(heap)
 
     def _process(self) -> None:
         self._outcome = self._pending_value
-        self.triggered = True
-        self.ok = True
-        super()._process()
+        self.triggered = self.processed = True
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
         raise SimulationError("Timeout events trigger themselves")
@@ -216,11 +238,13 @@ class Process(Event):
         engine = self.engine
         engine._current = self
         try:
+            # A processed event's outcome is decided: read it without the
+            # ``value`` property's pending check.
             if event.ok:
-                target = self._generator.send(event.value)
+                target = self._generator.send(event._outcome)
             else:
                 event.defused = True
-                target = self._generator.throw(event.value)
+                target = self._generator.throw(event._outcome)
         except StopIteration as stop:
             engine._active_processes -= 1
             engine._current = None
@@ -282,9 +306,18 @@ class Engine:
         self._current: Process | None = None
         #: Events processed so far (monotone; cheap enough to keep always on).
         self.events_processed: int = 0
+        #: :meth:`timeout` calls answered with an already scheduled
+        #: timeout; ``events_processed + timeouts_coalesced`` counts
+        #: wake-ups, the number comparable across dispatch strategies.
+        self.timeouts_coalesced: int = 0
         #: High-water mark of the event heap — a proxy for how much
         #: concurrent in-flight work the modelled program generates.
         self.max_heap_len: int = 0
+        # The most recently scheduled value-less timeout, the ``_seq`` it
+        # was pushed with and its fire time (see :meth:`timeout`).
+        self._cohort: Timeout | None = None
+        self._cohort_seq: int = -1
+        self._cohort_when: float = 0.0
 
     # -- factory helpers --------------------------------------------------
     def event(self) -> Event:
@@ -292,8 +325,32 @@ class Engine:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that succeeds ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+        """An event that succeeds ``delay`` seconds from now.
+
+        Cohort dispatch: a value-less request is answered with the most
+        recently scheduled timeout, instead of a new heap entry, when
+        nothing has been scheduled since, the fire times are bit-equal
+        and it has not been processed yet.  A new entry would sit
+        directly behind that one in ``(when, seq)`` order, so running
+        both waiters from one callback list, in the order they attached,
+        is the same schedule.  Callers attach their waiter where they
+        create the timeout (``yield`` it, append the callback on the next
+        line, or hand it to ``any_of``); a waiter attached later would
+        run behind the cohort members that asked after it.
+        """
+        if value is not None:
+            return Timeout(self, delay, value)
+        if (
+            self._seq == self._cohort_seq
+            and self.now + delay == self._cohort_when
+            and not self._cohort.processed
+        ):
+            self.timeouts_coalesced += 1
+            return self._cohort
+        timer = self._cohort = Timeout(self, delay)
+        self._cohort_seq = self._seq
+        self._cohort_when = self.now + delay
+        return timer
 
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a new :class:`Process` running ``generator``."""
@@ -321,13 +378,12 @@ class Engine:
         self.events_processed += 1
         event._process()
 
-    def run(self, until: float | None = None) -> None:
-        """Drain the event queue, optionally stopping at time ``until``.
+    def _loop(self, until: float | None, pending: Sequence[int]) -> bool:
+        """The event loop: pop and process events in ``(when, seq)`` order.
 
-        Raises :class:`~repro.errors.DeadlockError` if the queue empties
-        while processes are still alive (and no ``until`` bound was hit),
-        because in a closed simulation that means the modelled program can
-        never make progress again.
+        Stops when the heap is empty, when the next event lies beyond
+        ``until``, or when ``pending[0]`` (a count the caller's callbacks
+        decrement) reaches zero.  Returns True if the heap drained.
         """
         # Manually inlined step(): this loop IS the simulator's hot path,
         # so the heap, the pop and the event counter live in locals and
@@ -337,10 +393,9 @@ class Engine:
         heappop = heapq.heappop
         count = 0
         try:
-            while heap:
+            while heap and pending[0]:
                 if until is not None and heap[0][0] > until:
-                    self.now = until
-                    return
+                    return False
                 when, _, event = heappop(heap)
                 if when < self.now:
                     raise SimulationError("time went backwards")
@@ -349,9 +404,22 @@ class Engine:
                 event._process()
         finally:
             self.events_processed += count
+        return not heap
+
+    def run(self, until: float | None = None) -> None:
+        """Drain the event queue, optionally stopping at time ``until``.
+
+        Raises :class:`~repro.errors.DeadlockError` if the queue empties
+        while processes are still alive (and no ``until`` bound was hit),
+        because in a closed simulation that means the modelled program can
+        never make progress again.
+        """
+        if until is not None and not until >= self.now:  # NaN fails too
+            raise ValueError(f"run(until={until}) lies before now={self.now}")
+        drained = self._loop(until, _NO_STOP_COUNT)
         if until is not None:
             self.now = until
-        if self._active_processes > 0:
+        if drained and self._active_processes > 0:
             raise DeadlockError(
                 f"event queue drained with {self._active_processes} process(es) "
                 "still waiting — the simulated program is deadlocked"
@@ -364,24 +432,23 @@ class Engine:
 
         Returns their values in order.  Any process failure propagates.
 
-        ``stop_when_done=True`` stops stepping as soon as all of
-        ``processes`` have been processed instead of draining the heap —
-        needed when far-future fault timers are armed (a crash scheduled
-        past the program's natural end must not advance the clock).
+        ``stop_when_done=True`` stops as soon as all of ``processes``
+        have been processed instead of draining the heap — needed when
+        far-future fault timers are armed (a crash scheduled past the
+        program's natural end must not advance the clock).
         """
         processes = list(processes)
         if stop_when_done:
-            state = {"pending": 0}
+            pending = [0]
 
             def _done(_evt: Event) -> None:
-                state["pending"] -= 1
+                pending[0] -= 1
 
             for proc in processes:
                 if not proc.processed:
-                    state["pending"] += 1
+                    pending[0] += 1
                     proc.callbacks.append(_done)
-            while self._heap and state["pending"] > 0:
-                self.step()
+            self._loop(None, pending)
         else:
             self.run()
         results = []

@@ -1,12 +1,15 @@
-"""Regenerate the golden fingerprints after an *intentional* change.
+"""Regenerate the golden files after an *intentional* change.
 
 Usage::
 
-    PYTHONPATH=src python tests/golden/refresh.py
+    PYTHONPATH=src python tests/golden/refresh.py            # fingerprints.json
+    PYTHONPATH=src python tests/golden/refresh.py --timing   # timing.json
 
-Overwrites ``tests/golden/fingerprints.json``.  Review the diff before
-committing: every changed hash is a behavioural change of the simulator
-that same-seed reproducibility no longer covers.
+Review the diff before committing.  Every changed fingerprint hash is a
+behavioural change of the simulator that same-seed reproducibility no
+longer covers.  ``timing.json`` may only change in a PR that changes the
+cost model on purpose; a PR that makes the simulator itself faster must
+leave it diff-free.
 """
 
 from __future__ import annotations
@@ -20,23 +23,40 @@ _REPO_ROOT = os.path.dirname(
 )
 sys.path.insert(0, _REPO_ROOT)
 
-from tests.golden.scenario import case_key, fingerprint, golden_cases  # noqa: E402
+from tests.golden.scenario import (  # noqa: E402
+    case_key, fingerprint, golden_cases, timing, timing_specs,
+)
 
-OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fingerprints.json")
+_HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def main() -> int:
+def _write(name: str, records: dict) -> None:
+    out = os.path.join(_HERE, name)
+    with open(out, "w") as fh:
+        json.dump(records, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"[wrote {out}: {len(records)} records]", file=sys.stderr)
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--timing"]:
+        records = {}
+        for key, spec in timing_specs().items():
+            records[key] = timing(spec)
+            print(f"  {key}: {records[key]['elapsed_hex']}", file=sys.stderr)
+        _write("timing.json", records)
+        return 0
+    if argv:
+        print(__doc__, file=sys.stderr)
+        return 2
     fingerprints = {}
     for case in golden_cases():
         key = case_key(*case)
         fingerprints[key] = fingerprint(*case)
         print(f"  {key}: {fingerprints[key]['file_sha256'][:12]}", file=sys.stderr)
-    with open(OUT, "w") as fh:
-        json.dump(fingerprints, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"[wrote {OUT}: {len(fingerprints)} fingerprints]", file=sys.stderr)
+    _write("fingerprints.json", fingerprints)
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -16,6 +16,16 @@ structure must not drift silently.  Regenerate with::
 
     PYTHONPATH=src python tests/golden/refresh.py
 
+Timing has its own fixed point, ``timing.json`` (:func:`timing`): the
+simulated elapsed time as a float hex string and the sha256 of the
+Chrome trace, for every golden case plus one crash-recovery and one
+size-only run.  It pins the rule that a change to the *simulator's*
+speed (engine dispatch, caching, batching) leaves every simulated
+number bit-identical.  A PR that changes the *cost model* moves these
+on purpose and refreshes the file in the same commit::
+
+    PYTHONPATH=src python tests/golden/refresh.py --timing
+
 Cases are ``(algorithm, shuffle, two_layer, staging_policy)`` tuples;
 ``staging_policy`` is ``None`` (direct writes — the original 30 cases,
 whose keys and fingerprints are unchanged) or a drain-policy name that
@@ -24,14 +34,18 @@ routes the aggregators' writes through the burst-buffer tier.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 from repro.collio.api import RunSpec, run_collective_write
 from repro.collio.overlap import ALGORITHMS
 from repro.collio.shuffle import SHUFFLE_PRIMITIVES
+from repro.faults import FaultSpec
 from repro.fs.presets import beegfs_crill
 from repro.hardware.presets import crill
+from repro.obs import chrome_trace_json
 from repro.staging import DRAIN_POLICIES, StagingSpec
+from repro.units import MS
 from repro.workloads import make_workload
 
 #: 8 ranks on 2 nodes; segmented IOR interleaves every rank's blocks
@@ -105,4 +119,31 @@ def fingerprint(
         "num_cycles": result.num_cycles,
         "spans": dict(sorted(spans.items())),
         "spec_sha256": spec.spec_sha256(),
+    }
+
+
+def timing_specs() -> dict[str, RunSpec]:
+    """The specs ``timing.json`` pins: the golden cases, one run that
+    crashes and recovers (three attempts at this seed) and one size-only
+    run (no payload bytes, so no verify)."""
+    specs = {case_key(*case): golden_spec(*case) for case in golden_cases()}
+    specs["recovery/write_comm2/two_sided"] = golden_spec(
+        "write_comm2", "two_sided", False
+    ).replace(
+        seed=7,
+        faults=FaultSpec(rank_crash_rate=0.9, ost_outage_rate=0.5, crash_window=2 * MS),
+    )
+    specs["size_only/write_comm2/one_sided_fence"] = golden_spec(
+        "write_comm2", "one_sided_fence", False
+    ).replace(carry_data=False, verify=False)
+    return specs
+
+
+def timing(spec: RunSpec) -> dict:
+    """Run ``spec`` once; its simulated clock and timeline, bit for bit."""
+    result = run_collective_write(spec)
+    trace = chrome_trace_json(result.spans)
+    return {
+        "elapsed_hex": result.elapsed.hex(),
+        "trace_sha256": hashlib.sha256(trace.encode()).hexdigest(),
     }

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.errors import MPIError
-from repro.mpi.collops import CollectiveModel
+from repro.errors import MPIError, RankCrashError
+from repro.mpi.collops import CollectiveEngine, CollectiveModel
+from repro.sim import Engine
+from repro.sim.primitives import defuse
 
 from tests.mpi.conftest import make_world
 
@@ -112,3 +114,41 @@ class TestModel:
     def test_allgatherv_excludes_own_bytes(self):
         m = CollectiveModel(latency=0, bandwidth=100.0, call_overhead=0)
         assert m.allgatherv(4, total_bytes=400, min_own_bytes=100) == pytest.approx(3.0)
+
+
+class TestSharedExitEvent:
+    """All ranks of one collective instance wait on one exit event."""
+
+    def test_ranks_resume_in_entry_order(self):
+        order = []
+
+        def program(mpi):
+            yield from mpi.compute(0.1 * (3 - mpi.rank))  # rank 3 enters first
+            yield from mpi.barrier()
+            order.append(mpi.rank)
+
+        world = make_world(nprocs=4)
+        world.run(program)
+        assert order == [3, 2, 1, 0]
+        assert world.coll.completed == 1 and world.coll.pending == 0
+
+    def test_crash_of_a_waiting_rank_leaves_the_others_waking_in_order(self):
+        eng = Engine()
+        coll = CollectiveEngine(eng, 3, CollectiveModel(1e-6, 1e9, 1e-7))
+        woke = []
+
+        def rank(r, arrival):
+            yield eng.timeout(arrival)
+            got = yield coll.enter(1, "allgather", r, payload=r, nbytes=8)
+            woke.append((r, got))
+
+        procs = [eng.process(rank(r, t)) for r, t in enumerate((0.0, 0.1, 1.0))]
+        # Rank 0 has entered and waits on the shared event when it dies.
+        eng.timeout(0.5).callbacks.append(
+            lambda _e: procs[0].interrupt(RankCrashError(0, eng.now))
+        )
+        defuse(procs[0])
+        eng.run()
+        assert woke == [(1, [0, 1, 2]), (2, [0, 1, 2])]
+        assert not procs[0].ok and procs[1].ok and procs[2].ok
+        assert eng.now == pytest.approx(1.0 + coll.model.allgatherv(3, 24, 8))

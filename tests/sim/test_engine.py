@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import Engine
+from repro.sim import Engine, Timeout, any_of
+from repro.sim.primitives import defuse
 
 
 def test_clock_starts_at_zero():
@@ -251,3 +252,199 @@ def test_nested_process_spawning():
     eng.process(spawner(eng))
     eng.run()
     assert results == [1.0, 2.0]
+
+
+# ----------------------------------------------------------------------
+# Input validation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.5])
+def test_non_finite_or_negative_timeout_rejected(delay):
+    eng = Engine()
+    with pytest.raises(ValueError, match="delay"):
+        eng.timeout(delay)
+    with pytest.raises(ValueError, match="delay"):
+        Timeout(eng, delay, value="v")
+    assert not eng._heap  # nothing was scheduled
+
+
+@pytest.mark.parametrize("until", [1.0, float("nan")])
+def test_run_until_before_now_rejected(until):
+    eng = Engine()
+    eng.timeout(2.0)
+    eng.run()
+    with pytest.raises(ValueError, match="until"):
+        eng.run(until=until)
+    assert eng.now == 2.0  # the clock did not move backwards
+    eng.run(until=2.0)  # "until now" is allowed
+
+
+# ----------------------------------------------------------------------
+# Cohort dispatch: same-instant timeouts share one heap entry
+# ----------------------------------------------------------------------
+def test_back_to_back_timeouts_share_one_heap_entry():
+    eng = Engine()
+    order = []
+
+    def proc(eng, tag):
+        yield eng.timeout(1.0)
+        order.append((tag, eng.now))
+
+    for tag in "abc":
+        eng.process(proc(eng, tag))
+    eng.run()
+    assert order == [("a", 1.0), ("b", 1.0), ("c", 1.0)]
+    assert eng.timeouts_coalesced == 2
+    # 3 bootstrap events + 1 shared timeout + 3 process-exit events.
+    assert eng.events_processed == 7
+
+
+def test_cohort_joined_from_a_later_instant_when_fire_time_is_bit_equal():
+    eng = Engine()
+    first = eng.timeout(2.0)
+    eng.run(until=1.0)
+    assert eng.timeout(1.0) is first
+    assert eng.timeout(1.0 + 2 ** -40) is not first
+
+
+def test_no_share_when_either_timeout_carries_a_value():
+    eng = Engine()
+    plain = eng.timeout(1.0)
+    valued = eng.timeout(1.0, value="v")
+    assert valued is not plain
+    assert eng.timeout(1.0) is not valued  # the value would leak to this waiter
+    assert eng.timeouts_coalesced == 0
+
+
+def test_no_share_when_an_event_was_scheduled_in_between():
+    eng = Engine()
+    first = eng.timeout(1.0)
+    # The event fires earlier, but with it in between the two timeouts are
+    # no longer adjacent in (when, seq) order, which is all that is checked.
+    eng.event().succeed()
+    assert eng.timeout(1.0) is not first
+    direct = Timeout(eng, 1.0)  # built without the factory: still takes a seq
+    assert eng.timeout(1.0) is not direct
+    assert eng.timeouts_coalesced == 0
+
+
+def test_no_share_with_a_processed_timeout():
+    eng = Engine()
+    woken = []
+
+    def rearm(evt):
+        # Same fire time (now + 0), nothing scheduled since — but ``evt``
+        # already ran its callbacks, so a waiter attached now would hang.
+        again = eng.timeout(0.0)
+        assert again is not evt
+        again.callbacks.append(lambda _e: woken.append(eng.now))
+
+    eng.timeout(1.0).callbacks.append(rearm)
+    eng.run()
+    assert woken == [1.0]
+
+
+def test_no_share_at_a_different_fire_time():
+    eng = Engine()
+    first = eng.timeout(1.0)
+    assert eng.timeout(1.5) is not first
+    assert eng.timeouts_coalesced == 0
+
+
+def test_interrupting_one_cohort_member_leaves_the_others_in_order():
+    eng = Engine()
+    order = []
+
+    def proc(eng, tag):
+        yield eng.timeout(1.0)
+        order.append(tag)
+
+    procs = [eng.process(proc(eng, tag)) for tag in "abcd"]
+
+    def killer(eng):
+        yield eng.timeout(0.5)
+        procs[1].interrupt(RuntimeError("crash"))
+
+    defuse(procs[1])
+    eng.process(killer(eng))
+    eng.run()
+    assert eng.timeouts_coalesced == 3
+    assert order == ["a", "c", "d"]
+    assert not procs[1].ok and all(p.ok for p in procs if p is not procs[1])
+
+
+def test_interrupt_from_inside_the_cohort_skips_the_later_member():
+    # "a" and "b" wait on one shared timeout; "a" wakes first and kills
+    # "b", whose resume callback is still in the list being walked.
+    eng = Engine()
+    order = []
+    procs = []
+
+    def first(eng):
+        yield eng.timeout(1.0)
+        order.append("a")
+        procs[1].interrupt(RuntimeError("crash"))
+
+    def second(eng):
+        yield eng.timeout(1.0)
+        order.append("b")
+
+    procs.extend([eng.process(first(eng)), eng.process(second(eng))])
+    defuse(procs[1])
+    eng.run()
+    assert eng.timeouts_coalesced == 1
+    assert order == ["a"]
+
+
+def test_two_any_of_races_share_one_timer():
+    eng = Engine()
+    results = {}
+
+    def racer(eng, tag, done):
+        results[tag] = yield any_of(eng, [done, eng.timeout(1.0)])
+
+    slow, fast = eng.event(), eng.event()
+    eng.process(racer(eng, "times_out", slow))
+    eng.process(racer(eng, "completes", fast))
+
+    def finisher(eng):
+        yield eng.timeout(0.5)
+        fast.succeed("data")
+
+    eng.process(finisher(eng))
+    eng.run()
+    assert eng.timeouts_coalesced == 1
+    assert results == {"times_out": (1, None), "completes": (0, "data")}
+
+
+# ----------------------------------------------------------------------
+# run_until_complete(stop_when_done=True)
+# ----------------------------------------------------------------------
+def test_stop_when_done_leaves_far_future_timers_unfired():
+    eng = Engine()
+    fired = []
+    eng.timeout(100.0).callbacks.append(lambda _e: fired.append(eng.now))
+
+    def proc(eng, d):
+        yield eng.timeout(d)
+        return d
+
+    procs = [eng.process(proc(eng, d)) for d in (2.0, 1.0)]
+    assert eng.run_until_complete(procs, stop_when_done=True) == [2.0, 1.0]
+    assert eng.now == 2.0 and not fired and len(eng._heap) == 1
+    # Stops right behind the last watched process's own event.
+    assert eng.events_processed == 6
+    eng.run()
+    assert fired == [100.0]
+
+
+def test_stop_when_done_propagates_a_process_failure():
+    eng = Engine()
+    eng.timeout(100.0)
+
+    def bad(eng):
+        yield eng.timeout(1.0)
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        eng.run_until_complete([eng.process(bad(eng))], stop_when_done=True)
+    assert eng.now == 1.0
