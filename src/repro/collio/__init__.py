@@ -12,14 +12,19 @@ component on the simulated substrate, with the paper's additions:
   shuffle phase: two-sided non-blocking, one-sided with
   ``MPI_Win_fence`` (active target), one-sided with
   ``MPI_Win_lock``/``unlock`` + barrier (passive target);
-* :mod:`repro.collio.writeio` — blocking and asynchronous file-access
-  engines;
+* :mod:`repro.collio.context` — the per-rank context: sub-buffers,
+  windows, cost model and the blocking / asynchronous file-access steps
+  in both directions;
 * :mod:`repro.collio.overlap` — the five algorithms: ``no_overlap``
   (baseline two-phase), ``comm_overlap`` (Alg. 1), ``write_overlap``
   (Alg. 2), ``write_comm`` (Alg. 3), ``write_comm2`` (Alg. 4);
 * :mod:`repro.collio.api` — the public entry points
   :func:`~repro.collio.api.collective_write` (per-rank, MPI-style) and
-  :func:`~repro.collio.api.run_collective_write` (one-call experiment).
+  :func:`~repro.collio.api.run_collective_write` (one-call experiment),
+  and the one run pipeline and result type behind both directions;
+* :mod:`repro.collio.read` — collective reads: the scatter primitives
+  and read loops, which is all that differs from a write, and
+  :func:`~repro.collio.read.run_collective_read`.
 """
 
 from repro.collio.config import CollectiveConfig
@@ -36,8 +41,6 @@ from repro.collio.shuffle import SHUFFLE_PRIMITIVES
 from repro.collio.read import (
     READ_ALGORITHMS,
     SCATTER_PRIMITIVES,
-    CollectiveReadResult,
-    collective_read,
     run_collective_read,
 )
 
@@ -54,7 +57,5 @@ __all__ = [
     "SHUFFLE_PRIMITIVES",
     "READ_ALGORITHMS",
     "SCATTER_PRIMITIVES",
-    "CollectiveReadResult",
-    "collective_read",
     "run_collective_read",
 ]

@@ -19,7 +19,9 @@ The :class:`RunSpec` dataclass is the primary way to describe a run::
 
 Every run goes through one :class:`RunPipeline`: a plain run is one
 attempt, the crash-recovery loop (:mod:`repro.recovery.manager`) drives
-several, and both get their result and ``metrics`` from its one builder.
+several, a collective read (:mod:`repro.collio.read`) is one in the other
+:class:`Direction`, and all get their result and ``metrics`` from its one
+builder.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.collio.config import CollectiveConfig
 from repro.collio.context import AlgoContext
 from repro.collio.domains import partition_domains
 from repro.collio.intranode import TwoLayerShuffle
-from repro.collio.overlap import ALGORITHMS, make_algorithm
+from repro.collio.overlap import ALGORITHMS
 from repro.collio.plan import (
     TwoLayerPlan,
     TwoPhasePlan,
@@ -44,7 +46,7 @@ from repro.collio.plan import (
     plan_content_key,
     store_plan,
 )
-from repro.collio.shuffle import SHUFFLE_PRIMITIVES, make_shuffle
+from repro.collio.shuffle import SHUFFLE_PRIMITIVES
 from repro.collio.view import FileView
 from repro.config import DEFAULT_SEED
 from repro.errors import ConfigurationError, ReproError, VerificationError
@@ -80,6 +82,42 @@ def default_data(rank: int, nbytes: int) -> np.ndarray:
     period = ((np.arange(251, dtype=np.int64) * 31 + rank * 65537) % 251).astype(np.uint8)
     reps = -(-nbytes // 251)  # ceil
     return np.tile(period, reps)[:nbytes]
+
+
+@dataclass(frozen=True, eq=False)
+class Direction:
+    """Which way bytes move through the two-phase mechanism.
+
+    Chosen by the entry point, as MPI's ``write_all`` / ``read_all`` do —
+    never a spec field.  A direction owns its registries of cycle loops
+    and exchange primitives (shuffles on writes, scatters on reads;
+    ``RunSpec.shuffle`` carries either name).  Plan, rank context, run
+    pipeline and result are shared; the write-only features (two-layer
+    gather, staging, integrity, retry, recovery) are inert on reads.
+    """
+
+    name: str
+    algorithms: dict
+    primitives: dict
+
+    def algorithm(self, name: str):
+        """A fresh instance of the cycle loop registered under ``name``."""
+        return self._make("algorithm", self.algorithms, name)
+
+    def primitive(self, name: str):
+        """A fresh instance of the exchange primitive registered under ``name``."""
+        return self._make("shuffle", self.primitives, name)
+
+    def _make(self, kind: str, registry: dict, name: str):
+        if name not in registry:
+            raise ConfigurationError(
+                f"unknown {kind} {name!r} for a collective {self.name}; "
+                f"known: {sorted(registry)}"
+            )
+        return registry[name]()
+
+
+WRITE = Direction("write", ALGORITHMS, SHUFFLE_PRIMITIVES)
 
 
 @dataclass(frozen=True)
@@ -132,21 +170,17 @@ class RunSpec(SpecBase):
     #: Ring-buffer bound for trace records/spans (None = unbounded).
     max_trace_records: int | None = None
 
-    def validate(self) -> "RunSpec":
+    def validate(self, direction: Direction = WRITE) -> "RunSpec":
         """Check cross-field consistency; returns self for chaining."""
+        writing = direction is WRITE
         if self.nprocs < 1:
             raise ConfigurationError(f"nprocs must be >= 1, got {self.nprocs}")
         if set(self.views) != set(range(self.nprocs)):
             raise ConfigurationError("views must cover exactly ranks 0..nprocs-1")
-        if self.algorithm != "auto" and self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"known: {sorted(ALGORITHMS)} or 'auto'"
-            )
-        if self.shuffle not in SHUFFLE_PRIMITIVES:
-            raise ConfigurationError(
-                f"unknown shuffle {self.shuffle!r}; known: {sorted(SHUFFLE_PRIMITIVES)}"
-            )
+        # "auto" has the tuner race the write algorithms.
+        if not (writing and self.algorithm == "auto"):
+            direction.algorithm(self.algorithm)
+        direction.primitive(self.shuffle)
         if self.two_layer not in (None, True, False, "auto"):
             raise ConfigurationError(
                 f"two_layer must be True, False, 'auto' or None, got {self.two_layer!r}"
@@ -163,7 +197,8 @@ class RunSpec(SpecBase):
         if (self.verify or config.verify) and not self.carry_data:
             raise ConfigurationError("verify=True requires carry_data=True")
         if (
-            config.integrity is not None
+            writing  # reads never checksum: the layer is inert there
+            and config.integrity is not None
             and config.integrity.enabled
             and not self.carry_data
         ):
@@ -272,25 +307,31 @@ def collective_write(
     shuffle: str = "two_sided",
     config: CollectiveConfig | None = None,
     exchange_metadata: bool = True,
+    direction: Direction = WRITE,
 ):
     """Per-rank collective write (generator; run on **every** rank).
 
     Returns the rank's :class:`~repro.collio.context.PhaseStats`.
     ``exchange_metadata=False`` skips the planning allgather when the
     caller already performed it (e.g. ``MPIFile.write_all``).
+
+    The read entry points pass their ``direction``: ``data`` is then the
+    buffer to fill, and nothing write-only is attached or run — not even
+    a tier or integrity layer an earlier write left on this world.
     """
     config = config or CollectiveConfig()
-    algo = make_algorithm(algorithm)
-    engine = make_shuffle(shuffle)
+    algo = direction.algorithm(algorithm)
+    engine = direction.primitive(shuffle)
+    writing = direction is WRITE
     if isinstance(plan, TwoLayerPlan):
         engine = TwoLayerShuffle(engine)
-    if config.staging is not None and config.staging.enabled:
+    if writing and config.staging is not None and config.staging.enabled:
         # First rank in creates the world's tier; peers reuse it (the
         # same get-or-create pattern ``world.journal`` follows).
         from repro.staging.tier import StagingTier  # local: layering
 
         StagingTier.ensure(mpi.world, config.staging)
-    if config.integrity is not None and config.integrity.enabled:
+    if writing and config.integrity is not None and config.integrity.enabled:
         from repro.integrity.layer import IntegrityLayer  # local: layering
 
         IntegrityLayer.ensure(mpi.world, config.integrity)
@@ -307,8 +348,9 @@ def collective_write(
         cycles=plan.num_cycles,
     )
     yield from algo.run(ctx, engine)
-    yield from ctx.staging_flush()
-    yield from ctx.integrity_scrub()
+    if writing:
+        yield from ctx.staging_flush()
+        yield from ctx.integrity_scrub()
     ctx.stats.add_time("total", mpi.now - t0)
     yield from mpi.barrier()
     ctx.recorder.end(algo_span, mpi.now)
@@ -318,7 +360,8 @@ def collective_write(
 
 @dataclass
 class CollectiveWriteResult:
-    """Outcome of one simulated collective write."""
+    """Outcome of one simulated collective write, or read (``shuffle``
+    then names the scatter primitive; write-only fields keep defaults)."""
 
     algorithm: str
     shuffle: str
@@ -329,8 +372,10 @@ class CollectiveWriteResult:
     total_bytes: int
     #: End-to-end simulated wall time of the collective write, seconds.
     elapsed: float
-    #: Effective write bandwidth (total bytes / elapsed), bytes/s.
-    write_bandwidth: float
+    #: Effective bandwidth (total bytes / elapsed), bytes/s, under the
+    #: run's direction; the other one stays 0.
+    write_bandwidth: float = 0.0
+    read_bandwidth: float = 0.0
     per_rank_stats: list = field(default_factory=list)
     verified: bool | None = None
     #: SHA-256 of the actual file bytes read back from the simulated PFS
@@ -429,11 +474,7 @@ def run_collective_write(spec: RunSpec) -> CollectiveWriteResult:
 
         return run_with_recovery(spec, algorithm, config, auto_counters)
     # A plain run is the one-attempt case of that loop.
-    run = RunPipeline(spec, algorithm, config, auto_counters)
-    failure = run.attempt()
-    if failure is not None:
-        raise failure
-    return run.build_result()
+    return RunPipeline(spec, algorithm, config, auto_counters).run()
 
 
 class RunPipeline:
@@ -444,11 +485,16 @@ class RunPipeline:
     metrics as a run of one; :meth:`build_result` turns that into the
     :class:`CollectiveWriteResult`.  A caller that owns further metrics
     (the recovery loop's ``recovery.*``) adds them to ``metrics`` first.
+
+    In the read ``direction`` an attempt first lays the payloads out in
+    the file (out of band), the ranks fill fresh buffers, and
+    verification compares those with the payloads.
     """
 
     def __init__(self, spec: RunSpec, algorithm: str, config: CollectiveConfig,
-                 auto_counters: dict | None = None) -> None:
+                 auto_counters: dict | None = None, direction: Direction = WRITE) -> None:
         self.spec, self.algorithm, self.config = spec, algorithm, config
+        self.direction = direction
         self.metrics = MetricsRegistry()
         #: Tracer counters summed over attempts (plus the tuner's).
         self.trace_counters: Counter[str] = Counter(auto_counters or {})
@@ -458,10 +504,18 @@ class RunPipeline:
         self.elapsed = 0.0
         self.bytes_written = 0
         self.integrity = None  # last attempt's layer snapshot
-        self.payloads: dict | None = None  # rank buffers, built once
+        self.payloads: dict | None = None  # rank payloads, built once
+        self.buffers: dict | None = None  # what the ranks were handed
         self.plan: TwoPhasePlan | None = None  # the intended (first) plan
         self.world: World | None = None  # last attempt's world
         self.stats: list | None = None  # last attempt's PhaseStats
+
+    def run(self) -> CollectiveWriteResult:
+        """The plain run: one attempt, re-raising whatever aborted it."""
+        failure = self.attempt()
+        if failure is not None:
+            raise failure
+        return self.build_result()
 
     def attempt(
         self,
@@ -484,6 +538,7 @@ class RunPipeline:
         error that aborted the run, or None if it completed.
         """
         spec, config = self.spec, self.config
+        reading = self.direction is not WRITE
         recorder = (
             SpanRecorder(enabled=True, max_records=spec.max_trace_records)
             if spec.trace
@@ -496,7 +551,9 @@ class RunPipeline:
         )
         if files is not None:
             world.pfs.adopt_files(files)
-        cycle_bytes = make_algorithm(self.algorithm).cycle_bytes(config.cb_buffer_size)
+        cycle_bytes = self.direction.algorithm(self.algorithm).cycle_bytes(
+            config.cb_buffer_size
+        )
         if views is None and spec.plan is not None:
             views, plan = spec.views, spec.plan
             if plan.cycle_bytes != cycle_bytes:
@@ -509,6 +566,8 @@ class RunPipeline:
             plan = build_plan(
                 world.cluster, spec.nprocs, views, config, cycle_bytes,
                 stripe_size=spec.fs.stripe_size, exclude_ranks=crashed,
+                # Reads have no gather stage: always a single-layer plan.
+                two_layer=False if reading else None,
             )
         if self.plan is None:
             self.plan = plan
@@ -516,6 +575,7 @@ class RunPipeline:
                 r: spec.data_factory(r, spec.views[r].total_bytes) if spec.carry_data else None
                 for r in range(spec.nprocs)
             }
+        self.buffers = self._prefill() if reading else self.payloads
         span = None
         if number and recorder is not None:
             span = recorder.begin(
@@ -527,8 +587,9 @@ class RunPipeline:
         def program(mpi):
             fh = yield from mpi.file_open(spec.path)
             stats = yield from collective_write(
-                mpi, fh, views[mpi.rank], self.payloads[mpi.rank], plan,
+                mpi, fh, views[mpi.rank], self.buffers[mpi.rank], plan,
                 algorithm=self.algorithm, shuffle=spec.shuffle, config=config,
+                direction=self.direction,
             )
             return stats
 
@@ -546,6 +607,22 @@ class RunPipeline:
         self.elapsed = base + world.now
         self._absorb(failed=failure is not None)
         return failure
+
+    def _prefill(self) -> dict:
+        """Lay the payloads out in the file, *then* create the ranks' empty
+        buffers (this order keeps the allocator's high-water mark lower)."""
+        spec = self.spec
+        if not spec.carry_data:
+            return self.payloads  # size-only: no bytes to lay out or fill
+        simfile = self.world.pfs.open(spec.path)
+        for rank, view in spec.views.items():
+            data = self.payloads[rank]
+            for off, ln, loc in zip(view.offsets, view.lengths, view.local_offsets):
+                simfile.write(int(off), data[int(loc) : int(loc) + int(ln)])
+        return {
+            r: np.zeros(spec.views[r].total_bytes, dtype=np.uint8)
+            for r in range(spec.nprocs)
+        }
 
     def _absorb(self, failed: bool) -> None:
         """Fold the finished world's counters and statistics into the run's."""
@@ -584,6 +661,7 @@ class RunPipeline:
         is the loop's :class:`~repro.recovery.report.RecoveryReport`.
         """
         spec, plan, elapsed = self.spec, self.plan, self.elapsed
+        bandwidth = plan.total_bytes / elapsed if elapsed > 0 else 0.0
         result = CollectiveWriteResult(
             algorithm=self.algorithm,
             shuffle=spec.shuffle,
@@ -593,7 +671,7 @@ class RunPipeline:
             cycle_bytes=plan.cycle_bytes,
             total_bytes=plan.total_bytes,
             elapsed=elapsed,
-            write_bandwidth=plan.total_bytes / elapsed if elapsed > 0 else 0.0,
+            **{f"{self.direction.name}_bandwidth": bandwidth},
             per_rank_stats=self.stats,
             trace_counters=dict(self.trace_counters),
             spans=self.spans,
@@ -602,7 +680,7 @@ class RunPipeline:
         )
         metrics = self.metrics
         metrics.gauge("run.elapsed").set(elapsed)
-        metrics.gauge("run.write_bandwidth").set(result.write_bandwidth)
+        metrics.gauge(f"run.{self.direction.name}_bandwidth").set(bandwidth)
         metrics.gauge("fs.bytes_written").set(self.bytes_written)
         # Message counts live in the ranks' PhaseStats, which only the
         # completed attempt returns.
@@ -625,9 +703,23 @@ class RunPipeline:
             metrics.histogram(f"span.{span.category}.dur").observe(span.dur)
         result.metrics = metrics.snapshot()
         if spec.verify or self.config.verify:
-            result.file_sha256 = self._verify_file()
+            if self.direction is WRITE:
+                result.file_sha256 = self._verify_file()
+            else:
+                self._verify_buffers()
             result.verified = True
         return result
+
+    def _verify_buffers(self) -> None:
+        """Byte-exact check of what every rank read against its payload."""
+        for rank, expected in self.payloads.items():
+            actual = self.buffers[rank]
+            if not np.array_equal(actual, expected):
+                bad = np.flatnonzero(actual != expected)
+                raise VerificationError(
+                    f"collective read corrupted rank {rank}'s data: "
+                    f"{bad.size} wrong bytes, first at local offset {bad[0]}"
+                )
 
     def _verify_file(self) -> str:
         """Byte-exact check of the written file against the views' expectation.

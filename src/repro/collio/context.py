@@ -1,9 +1,11 @@
 """Per-rank execution context shared by all overlap algorithms.
 
 An :class:`AlgoContext` packages what one rank needs while executing a
-collective write: its communicator and file handle, the global plan, its
-role (aggregator or not), the collective sub-buffers (plain arrays for
-two-sided shuffles, RMA windows for one-sided ones) and phase timing.
+collective write or read: its communicator and file handle, the global
+plan, its role (aggregator or not), the collective sub-buffers (plain
+arrays for two-sided transfers, RMA windows for one-sided ones) and
+phase timing.  The file-access steps come in both directions
+(``write_*`` / ``read_*``) over the same buffers and plan slices.
 
 Sub-buffer discipline: cycle ``c`` always uses sub-buffer ``c % nsub``
 (equivalent to the paper's pointer swapping, but index-based so every rank
@@ -82,7 +84,11 @@ class PhaseStats:
 
 
 class AlgoContext:
-    """One rank's working state during a collective write."""
+    """One rank's working state during a collective write or read.
+
+    ``data`` is the rank's own buffer under its view: the source of a
+    write, the destination of a read (None in size-only mode).
+    """
 
     def __init__(
         self,
@@ -562,6 +568,44 @@ class AlgoContext:
         value = handle.event.value if handle.event.triggered else None
         done_at = value if isinstance(value, (int, float)) else self.mpi.now
         self.recorder.end(io_span, min(float(done_at), self.mpi.now))
+
+    # The same three steps in the read direction: the file fills the
+    # sub-buffer slice that ``_write_slice`` names.
+    def read_blocking(self, cycle: int):
+        """Blocking file-access phase of a read (no MPI progress)."""
+        sliced = self._write_slice(cycle)
+        if sliced is None:
+            return
+        t0 = self.mpi.now
+        offset, dest, nbytes = sliced
+        data = yield from self.fh.read_at(offset, nbytes)
+        if dest is not None:
+            dest[:] = data
+        self.stats.add_time("read", self.mpi.now - t0)
+        self.stats.bump("reads")
+
+    def read_init(self, cycle: int):
+        """Post an asynchronous read for ``cycle``; returns a handle."""
+        sliced = self._write_slice(cycle)
+        if sliced is None:
+            return None
+        t0 = self.mpi.now
+        offset, dest, nbytes = sliced
+        req, data = yield from self.fh.iread_at(offset, nbytes)
+        self.stats.add_time("read_post", self.mpi.now - t0)
+        self.stats.bump("reads")
+        return req, dest, data
+
+    def read_wait(self, handle):
+        """Complete a posted read and land its bytes in the sub-buffer."""
+        if handle is None:
+            return
+        req, dest, data = handle
+        t0 = self.mpi.now
+        yield from self.mpi.wait(req)
+        if dest is not None:
+            dest[:] = data
+        self.stats.add_time("read", self.mpi.now - t0)
 
     def staging_flush(self):
         """Make everything this node staged durable (end of the collective).

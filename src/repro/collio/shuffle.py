@@ -46,7 +46,6 @@ __all__ = [
     "OneSidedFenceShuffle",
     "OneSidedLockShuffle",
     "SHUFFLE_PRIMITIVES",
-    "make_shuffle",
 ]
 
 
@@ -453,12 +452,3 @@ SHUFFLE_PRIMITIVES = {
     "one_sided_lock": OneSidedLockShuffle,
 }
 
-
-def make_shuffle(name: str):
-    """Instantiate a shuffle primitive by name."""
-    try:
-        return SHUFFLE_PRIMITIVES[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown shuffle primitive {name!r}; known: {sorted(SHUFFLE_PRIMITIVES)}"
-        ) from None

@@ -227,31 +227,39 @@ class MPIFile:
         else:
             raise ValueError("set_view needs a datatype or a FileView")
 
-    def _collective_plan(
-        self, views: dict, config, cycle_bytes: int, two_layer=None
-    ):
-        """Build (or fetch) the shared plan for one collective operation.
+    def _collective(self, direction, data, algorithm: str, shuffle: str, config):
+        """The one body of ``write_all`` / ``read_all``; ``direction`` is
+        :data:`repro.collio.api.WRITE` or :data:`repro.collio.read.READ`."""
+        from repro.collio.api import WRITE, build_plan, collective_write
+        from repro.collio.config import CollectiveConfig
 
-        ``two_layer`` overrides ``config.two_layer`` (reads force it off:
-        the scatter direction has no gather stage).
-        """
-        from repro.collio.api import build_plan
-
+        if self._view is None:
+            raise ValueError(f"{direction.name}_all requires a prior set_view()")
+        config = config or CollectiveConfig()
+        view = self._view
+        # Real collective metadata exchange: every rank contributes its
+        # view; the gathered result lets each rank derive the same plan.
+        gathered = yield from self.comm.allgather(
+            view, nbytes=view.num_extents * config.meta_bytes_per_extent
+        )
+        cycle_bytes = direction.algorithm(algorithm).cycle_bytes(config.cb_buffer_size)
+        # Reads force single-layer: the scatter direction has no gather stage.
+        two_layer = config.two_layer if direction is WRITE else False
         world = self.comm.world
         self._coll_count += 1
-        layering = config.two_layer if two_layer is None else two_layer
-        key = (
-            self.path, self._coll_count, cycle_bytes, config.cb_buffer_size,
-            layering,
-        )
+        key = (self.path, self._coll_count, cycle_bytes, config.cb_buffer_size, two_layer)
         plan = world.plan_cache.get(key)
         if plan is None:
-            plan = build_plan(
-                world.cluster, world.nprocs, views, config, cycle_bytes,
-                stripe_size=self.pfs.spec.stripe_size, two_layer=layering,
+            plan = world.plan_cache[key] = build_plan(
+                world.cluster, world.nprocs, dict(enumerate(gathered)), config,
+                cycle_bytes, stripe_size=self.pfs.spec.stripe_size, two_layer=two_layer,
             )
-            world.plan_cache[key] = plan
-        return plan
+        stats = yield from collective_write(
+            self.comm, self, view, data, plan,
+            algorithm=algorithm, shuffle=shuffle, config=config,
+            exchange_metadata=False, direction=direction,
+        )
+        return stats
 
     def write_all(
         self,
@@ -265,28 +273,9 @@ class MPIFile:
         Every rank must call this with its own data after ``set_view``.
         Returns the rank's phase statistics.
         """
-        from repro.collio.api import collective_write
-        from repro.collio.config import CollectiveConfig
-        from repro.collio.overlap import make_algorithm
+        from repro.collio.api import WRITE
 
-        if self._view is None:
-            raise ValueError("write_all requires a prior set_view()")
-        config = config or CollectiveConfig()
-        view = self._view
-        # Real collective metadata exchange: every rank contributes its
-        # view; the gathered result lets each rank derive the same plan.
-        gathered = yield from self.comm.allgather(
-            view, nbytes=view.num_extents * config.meta_bytes_per_extent
-        )
-        views = dict(enumerate(gathered))
-        cycle_bytes = make_algorithm(algorithm).cycle_bytes(config.cb_buffer_size)
-        plan = self._collective_plan(views, config, cycle_bytes)
-        stats = yield from collective_write(
-            self.comm, self, view, data, plan,
-            algorithm=algorithm, shuffle=shuffle, config=config,
-            exchange_metadata=False,
-        )
-        return stats
+        return self._collective(WRITE, data, algorithm, shuffle, config)
 
     def read_all(
         self,
@@ -300,26 +289,9 @@ class MPIFile:
         Fills ``out`` (or runs size-only when ``out is None``); returns
         the rank's phase statistics.
         """
-        from repro.collio.config import CollectiveConfig
-        from repro.collio.read import READ_ALGORITHMS, collective_read
+        from repro.collio.read import READ
 
-        if self._view is None:
-            raise ValueError("read_all requires a prior set_view()")
-        config = config or CollectiveConfig()
-        view = self._view
-        gathered = yield from self.comm.allgather(
-            view, nbytes=view.num_extents * config.meta_bytes_per_extent
-        )
-        views = dict(enumerate(gathered))
-        nsub = READ_ALGORITHMS[algorithm].nsub
-        cycle_bytes = max(1, config.cb_buffer_size // nsub)
-        plan = self._collective_plan(views, config, cycle_bytes, two_layer=False)
-        stats = yield from collective_read(
-            self.comm, self, view, out, plan,
-            algorithm=algorithm, scatter=scatter, config=config,
-            exchange_metadata=False,
-        )
-        return stats
+        return self._collective(READ, out, algorithm, scatter, config)
 
     @property
     def size(self) -> int:

@@ -74,12 +74,14 @@ class TestStructure:
         assert gets > 0
 
     def test_unknown_names_rejected(self):
-        with pytest.raises(KeyError):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="unknown algorithm 'bogus'.*read_ahead"):
             run_collective_read(
                 small_cluster(), small_fs(), nprocs=2,
                 views=contiguous_views(2, 1000), algorithm="bogus",
             )
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError, match="unknown shuffle 'bogus'.*one_sided_get"):
             run_collective_read(
                 small_cluster(), small_fs(), nprocs=2,
                 views=contiguous_views(2, 1000), scatter="bogus",

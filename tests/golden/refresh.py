@@ -24,7 +24,8 @@ _REPO_ROOT = os.path.dirname(
 sys.path.insert(0, _REPO_ROOT)
 
 from tests.golden.scenario import (  # noqa: E402
-    case_key, fingerprint, golden_cases, timing, timing_specs,
+    case_key, fingerprint, golden_cases, read_timing, read_timing_cases, timing,
+    timing_specs,
 )
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -43,6 +44,9 @@ def main(argv: list[str]) -> int:
         records = {}
         for key, spec in timing_specs().items():
             records[key] = timing(spec)
+            print(f"  {key}: {records[key]['elapsed_hex']}", file=sys.stderr)
+        for key, kwargs in read_timing_cases().items():
+            records[key] = read_timing(**kwargs)
             print(f"  {key}: {records[key]['elapsed_hex']}", file=sys.stderr)
         _write("timing.json", records)
         return 0

@@ -26,6 +26,10 @@ on purpose and refreshes the file in the same commit::
 
     PYTHONPATH=src python tests/golden/refresh.py --timing
 
+The same file pins collective *reads* of the scenario under its
+``read/...`` keys (:func:`read_timing`): elapsed, cycle count and the
+max-over-ranks ``read`` / ``scatter`` / ``total`` phase times.
+
 Cases are ``(algorithm, shuffle, two_layer, staging_policy)`` tuples;
 ``staging_policy`` is ``None`` (direct writes — the original 30 cases,
 whose keys and fingerprints are unchanged) or a drain-policy name that
@@ -38,7 +42,9 @@ import hashlib
 from dataclasses import replace
 
 from repro.collio.api import RunSpec, run_collective_write
+from repro.collio.config import CollectiveConfig
 from repro.collio.overlap import ALGORITHMS
+from repro.collio.read import READ_ALGORITHMS, SCATTER_PRIMITIVES, run_collective_read
 from repro.collio.shuffle import SHUFFLE_PRIMITIVES
 from repro.faults import FaultSpec
 from repro.fs.presets import beegfs_crill
@@ -147,3 +153,33 @@ def timing(spec: RunSpec) -> dict:
         "elapsed_hex": result.elapsed.hex(),
         "trace_sha256": hashlib.sha256(trace.encode()).hexdigest(),
     }
+
+
+def read_timing_cases() -> dict[str, dict]:
+    """``run_collective_read`` keywords per ``read/...`` key: every
+    (algorithm, scatter) pair verified byte-exact, plus one size-only run."""
+    cases = {
+        f"read/{algorithm}/{scatter}": dict(algorithm=algorithm, scatter=scatter, verify=True)
+        for algorithm in sorted(READ_ALGORITHMS)
+        for scatter in sorted(SCATTER_PRIMITIVES)
+    }
+    cases["read/size_only/scatter_overlap/one_sided_get"] = dict(
+        algorithm="scatter_overlap", scatter="one_sided_get", carry_data=False
+    )
+    return cases
+
+
+def read_timing(**kwargs) -> dict:
+    """Read the pinned scenario back once, in several cycles (the 256 KiB
+    file through a 32 KiB collective buffer); its clocks, bit for bit."""
+    spec = golden_spec("no_overlap", "two_sided", False)
+    result = run_collective_read(
+        spec.cluster, spec.fs, NPROCS, spec.views,
+        config=CollectiveConfig(cb_buffer_size=32 * 1024), **kwargs,
+    )
+    record = {"elapsed_hex": result.elapsed.hex(), "num_cycles": result.num_cycles}
+    for phase in ("read", "scatter", "total"):
+        record[f"{phase}_hex"] = max(
+            stats.time_in(phase) for stats in result.per_rank_stats
+        ).hex()
+    return record

@@ -8,6 +8,10 @@ how fast the *simulator* runs (engine dispatch, caches, batching) must
 leave this file untouched; a PR that changes the *cost model* refreshes
 it on purpose with ``PYTHONPATH=src python tests/golden/refresh.py
 --timing`` and says so.
+
+The ``read/...`` entries pin collective reads the same way (elapsed,
+cycle count and per-phase maxima; captured before reads moved onto the
+write pipeline, so they are also that refactor's fixed point).
 """
 
 import json
@@ -15,10 +19,13 @@ import os
 
 import pytest
 
-from tests.golden.scenario import timing, timing_specs
+from tests.golden.scenario import (
+    read_timing, read_timing_cases, timing, timing_specs,
+)
 
 _TIMING = os.path.join(os.path.dirname(__file__), "timing.json")
 _SPECS = timing_specs()
+_READ_CASES = read_timing_cases()
 
 
 def _load() -> dict:
@@ -27,8 +34,9 @@ def _load() -> dict:
 
 
 def test_timing_file_covers_all_cases():
-    assert set(_load()) == set(_SPECS)
+    assert set(_load()) == set(_SPECS) | set(_READ_CASES)
     assert len(_SPECS) == 47
+    assert len(_READ_CASES) == 7
 
 
 @pytest.mark.parametrize("key", list(_SPECS))
@@ -36,4 +44,11 @@ def test_same_seed_timing(key):
     assert timing(_SPECS[key]) == _load()[key], (
         f"simulated timing drifted for {key}; if the cost model changed "
         "on purpose: PYTHONPATH=src python tests/golden/refresh.py --timing"
+    )
+
+
+@pytest.mark.parametrize("key", list(_READ_CASES))
+def test_same_seed_read_timing(key):
+    assert read_timing(**_READ_CASES[key]) == _load()[key], (
+        f"simulated read timing drifted for {key}"
     )
