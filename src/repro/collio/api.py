@@ -27,6 +27,7 @@ builder.
 from __future__ import annotations
 
 import hashlib
+import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar
@@ -67,6 +68,15 @@ __all__ = [
     "default_data",
     "run_collective_write",
 ]
+
+
+#: How many file bytes verification holds an expectation for at a time.
+VERIFY_WINDOW = 4 << 20
+
+
+def _file_extent(views: dict[int, FileView]) -> int:
+    """End offset of the file the views describe (0 if they are empty)."""
+    return max((v.file_range[1] for v in views.values()), default=0)
 
 
 def default_data(rank: int, nbytes: int) -> np.ndarray:
@@ -275,10 +285,8 @@ def build_plan(
         num_aggregators=config.num_aggregators,
         exclude=exclude_ranks,
     )
-    starts = [v.file_range[0] for v in views.values() if v.num_extents]
-    ends = [v.file_range[1] for v in views.values() if v.num_extents]
-    lo = min(starts) if starts else 0
-    hi = max(ends) if ends else 0
+    lo = min((v.file_range[0] for v in views.values() if v.num_extents), default=0)
+    hi = _file_extent(views)
     stripe = stripe_size if config.stripe_align_domains else None
     domains = partition_domains(lo, hi, len(aggregators), stripe_size=stripe)
     if two_layer is None:
@@ -485,6 +493,9 @@ class RunPipeline:
     metrics as a run of one; :meth:`build_result` turns that into the
     :class:`CollectiveWriteResult`.  A caller that owns further metrics
     (the recovery loop's ``recovery.*``) adds them to ``metrics`` first.
+    :meth:`run` wraps both and releases, on every way out, what the run
+    held: host memory is the payloads, one file store sized once, the
+    cycle buffers and one verification window — and nothing afterwards.
 
     In the read ``direction`` an attempt first lays the payloads out in
     the file (out of band), the ranks fill fresh buffers, and
@@ -510,12 +521,35 @@ class RunPipeline:
         self.world: World | None = None  # last attempt's world
         self.stats: list | None = None  # last attempt's PhaseStats
 
-    def run(self) -> CollectiveWriteResult:
-        """The plain run: one attempt, re-raising whatever aborted it."""
+    def run(self, drive: Callable[["RunPipeline"], Any] | None = None) -> CollectiveWriteResult:
+        """Attempt(s), then the result, then :meth:`close` — also when
+        either raises.
+
+        ``drive(self)`` makes the attempts and returns what becomes the
+        result's ``recovery`` (the crash-recovery loop); the default is the
+        plain run: one attempt, re-raising whatever aborted it.
+        """
+        try:
+            recovery = drive(self) if drive is not None else self._one_attempt()
+            return self.build_result(recovery)
+        finally:
+            self.close()
+
+    def _one_attempt(self) -> None:
         failure = self.attempt()
         if failure is not None:
             raise failure
-        return self.build_result()
+
+    def close(self) -> None:
+        """Release the last world (file store included) and the payloads.
+
+        Explicit, because a finished world and a raised exception's
+        frames are reference cycles: left to the collector, a process
+        running many collectives allocates each beside the last.
+        """
+        if self.world is not None:
+            self.world.close()
+        self.payloads = self.buffers = None
 
     def attempt(
         self,
@@ -539,6 +573,9 @@ class RunPipeline:
         """
         spec, config = self.spec, self.config
         reading = self.direction is not WRITE
+        if self.world is not None:
+            # Superseded; its file store lives on in this attempt's world.
+            self.world.close(keep_files=True)
         recorder = (
             SpanRecorder(enabled=True, max_records=spec.max_trace_records)
             if spec.trace
@@ -551,6 +588,10 @@ class RunPipeline:
         )
         if files is not None:
             world.pfs.adopt_files(files)
+        if spec.carry_data:
+            # The fallocate a real stack would issue: one store of the
+            # final size instead of doubling towards it.
+            world.pfs.open(spec.path).reserve(_file_extent(spec.views))
         cycle_bytes = self.direction.algorithm(self.algorithm).cycle_bytes(
             config.cb_buffer_size
         )
@@ -597,6 +638,10 @@ class RunPipeline:
         try:
             self.stats = world.run(program)
         except (ReproError, ValueError) as exc:
+            # The traceback keeps its line numbers; the locals of the
+            # frames it unwound (a rank's context, payload and cycle
+            # buffers, held until the error itself is collected) go now.
+            traceback.clear_frames(exc.__traceback__)
             failure = exc
         if recorder is not None:
             recorder.end(span, world.now)
@@ -617,8 +662,10 @@ class RunPipeline:
         simfile = self.world.pfs.open(spec.path)
         for rank, view in spec.views.items():
             data = self.payloads[rank]
-            for off, ln, loc in zip(view.offsets, view.lengths, view.local_offsets):
-                simfile.write(int(off), data[int(loc) : int(loc) + int(ln)])
+            for off, ln, loc in zip(
+                view.offsets.tolist(), view.lengths.tolist(), view.local_offsets.tolist()
+            ):
+                simfile.write(off, data[loc : loc + ln])
         return {
             r: np.zeros(spec.views[r].total_bytes, dtype=np.uint8)
             for r in range(spec.nprocs)
@@ -727,20 +774,37 @@ class RunPipeline:
         Returns the sha256 of the *actual* file bytes read back from the
         simulated PFS — the identity witness the staging acceptance check
         compares across staging-on/off runs.
+
+        The file is walked in windows of ``VERIFY_WINDOW`` bytes: only one
+        window of expectation exists at a time (holes zero, overlapping
+        views resolved last-rank-wins, as one file-sized pass would), and
+        the stored bytes are compared and hashed in place.
         """
         views = self.spec.views
-        ends = [v.file_range[1] for v in views.values() if v.num_extents]
-        size = max(ends) if ends else 0
-        expected = np.zeros(size, dtype=np.uint8)
-        for rank, view in views.items():
-            data = self.payloads[rank]
-            for off, ln, loc in zip(view.offsets, view.lengths, view.local_offsets):
-                expected[off : off + ln] = data[loc : loc + ln]
-        actual = self.world.pfs.open(self.spec.path).read(0, size)
-        if not np.array_equal(actual, expected):
-            bad = np.flatnonzero(actual != expected)
+        size = _file_extent(views)
+        simfile = self.world.pfs.open(self.spec.path)
+        digest = hashlib.sha256()
+        window = np.empty(min(size, VERIFY_WINDOW), dtype=np.uint8)
+        wrong, first = 0, None
+        for lo in range(0, size, VERIFY_WINDOW):
+            hi = min(lo + VERIFY_WINDOW, size)
+            expected = window[: hi - lo]
+            expected.fill(0)
+            for rank, view in views.items():
+                data = self.payloads[rank]
+                offs, lens, locs = view.clip(lo, hi)
+                for off, ln, loc in zip((offs - lo).tolist(), lens.tolist(), locs.tolist()):
+                    expected[off : off + ln] = data[loc : loc + ln]
+            actual = simfile.stored(lo, hi - lo)
+            if not np.array_equal(actual, expected):
+                bad = np.flatnonzero(actual != expected)
+                wrong += bad.size
+                if first is None:
+                    first = lo + int(bad[0])
+            digest.update(actual)
+        if wrong:
             raise VerificationError(
-                f"collective write corrupted the file: {bad.size} wrong bytes, "
-                f"first at offset {bad[0] if bad.size else '?'}"
+                f"collective write corrupted the file: {wrong} wrong bytes, "
+                f"first at offset {first}"
             )
-        return hashlib.sha256(np.ascontiguousarray(actual).tobytes()).hexdigest()
+        return digest.hexdigest()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 import numpy as np
 
 from repro.errors import FileSystemError
@@ -12,9 +14,12 @@ __all__ = ["SimFile"]
 class SimFile:
     """The data of one simulated file.
 
-    Contents are held in a numpy ``uint8`` array that grows geometrically
-    on writes past the current end (like a sparse file, holes read as
-    zero).  This class is pure data — timing lives in
+    Contents are held in a numpy ``uint8`` array.  A caller that knows the
+    final extent sizes the store once with :meth:`reserve` (what
+    ``fallocate`` is to a real stack); a file nobody sized grows
+    geometrically on writes past the current end.  Either way it behaves
+    like a sparse file: holes read as zero and only writes move
+    :attr:`size`.  This class is pure data — timing lives in
     :class:`repro.fs.pfs.ParallelFileSystem`.
     """
 
@@ -29,6 +34,11 @@ class SimFile:
         #: integrity scrub verifies against it instead of re-reading
         #: every extent.  Empty (zero-cost) without an integrity layer.
         self._stored_crcs: dict[tuple[int, int], int] = {}
+        #: The same keys ordered by offset, and the longest extent ever
+        #: recorded: a write bisects the keys it can overlap instead of
+        #: scanning them all.
+        self._crc_keys: list[tuple[int, int]] = []
+        self._crc_span = 0
 
     @property
     def size(self) -> int:
@@ -43,11 +53,25 @@ class SimFile:
         grown[: len(self._data)] = self._data
         self._data = grown
 
+    def reserve(self, end: int) -> None:
+        """Size the store for bytes up to ``end`` in one allocation.
+
+        Changes nothing a reader can see: ``size`` stays, the reserved
+        range reads as a hole, stored CRCs survive.
+        """
+        if end < 0:
+            raise FileSystemError(f"negative size: {end}")
+        self._ensure_capacity(end)
+
+    def release(self) -> None:
+        """Back to an empty file (the run that owned the bytes is over)."""
+        self.__init__(self.path)
+
     def write(self, offset: int, data: np.ndarray | bytes | bytearray) -> None:
         """Store ``data`` at ``offset`` (extends the file as needed)."""
         if offset < 0:
             raise FileSystemError(f"negative write offset: {offset}")
-        buf = np.frombuffer(bytes(data), dtype=np.uint8) if not isinstance(data, np.ndarray) else data
+        buf = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
         if buf.dtype != np.uint8:
             buf = buf.view(np.uint8)
         end = offset + len(buf)
@@ -57,12 +81,16 @@ class SimFile:
         if self._stored_crcs:
             # Any overlapping write invalidates previously recorded CRCs
             # (the commit path re-records the exact extent afterwards).
-            stale = [
-                key for key in self._stored_crcs
-                if key[0] < end and offset < key[0] + key[1]
-            ]
-            for key in stale:
-                del self._stored_crcs[key]
+            # No extent is longer than ``_crc_span``, so the overlapping
+            # ones start in ``(offset - _crc_span, end)``.
+            keys = self._crc_keys
+            lo = bisect_left(keys, (offset - self._crc_span + 1,))
+            hi = bisect_left(keys, (end,), lo)
+            stale = [key for key in keys[lo:hi] if offset < key[0] + key[1]]
+            if stale:
+                for key in stale:
+                    del self._stored_crcs[key]
+                keys[lo:hi] = [key for key in keys[lo:hi] if offset >= key[0] + key[1]]
 
     def note_size(self, end: int) -> None:
         """Record a size-only write's end offset (no bytes stored)."""
@@ -80,9 +108,26 @@ class SimFile:
             out[: avail_end - offset] = self._data[offset:avail_end]
         return out
 
+    def stored(self, offset: int, size: int) -> np.ndarray:
+        """The same bytes as :meth:`read`, as a read-only view of the store.
+
+        For the host-side passes over whole files (verification); it is
+        only valid until the next write or :meth:`release`.
+        """
+        if offset < 0 or size < 0:
+            raise FileSystemError(f"invalid read: offset={offset} size={size}")
+        self._ensure_capacity(offset + size)
+        view = self._data[offset : offset + size]
+        view.flags.writeable = False
+        return view
+
     def note_stored_crc(self, offset: int, nbytes: int, crc: int) -> None:
         """Record the CRC-32 of the committed extent at ``offset``."""
-        self._stored_crcs[(int(offset), int(nbytes))] = int(crc)
+        key = (int(offset), int(nbytes))
+        if key not in self._stored_crcs:
+            insort(self._crc_keys, key)
+            self._crc_span = max(self._crc_span, key[1])
+        self._stored_crcs[key] = int(crc)
 
     def stored_crc(self, offset: int, nbytes: int) -> int | None:
         """The recorded CRC of exactly this extent, or None (unknown)."""
@@ -90,4 +135,4 @@ class SimFile:
 
     def contents(self) -> np.ndarray:
         """The full file contents as a uint8 array (a copy)."""
-        return self._data[: self._size].copy()
+        return self.read(0, self._size)

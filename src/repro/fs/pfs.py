@@ -105,6 +105,18 @@ class ParallelFileSystem:
         """The durable file store itself, for :meth:`adopt_files` elsewhere."""
         return self._files
 
+    def close(self, keep_files: bool = False) -> None:
+        """Let go of the file store; its bytes too unless ``keep_files``.
+
+        A store handed on to the next recovery attempt's world keeps its
+        bytes.  Releasing is explicit because file handles (and through
+        them the files) sit in the finished world's reference cycles.
+        """
+        if not keep_files:
+            for f in self._files.values():
+                f.release()
+        self._files = {}
+
     # -- I/O ---------------------------------------------------------------
     def write(
         self,

@@ -137,6 +137,11 @@ class IntegrityLayer:
         """Pristine bytes of a recorded extent, or None (not escrowed)."""
         return self._escrow.get((path, int(offset), int(nbytes)))
 
+    def close(self) -> None:
+        """Release the escrow copies (the world is finished; the manifest
+        and counters stay readable)."""
+        self._escrow.clear()
+
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------

@@ -80,6 +80,11 @@ class BufferPool:
         self._free.setdefault(block.size, []).append(block)
         self.releases += 1
 
+    def close(self) -> None:
+        """Drop every block, free or lent (the world is finished)."""
+        self._free.clear()
+        self._lent.clear()
+
     @property
     def outstanding(self) -> int:
         """Blocks currently lent out (should be 0 between collectives)."""

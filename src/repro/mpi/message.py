@@ -62,8 +62,10 @@ class Message:
     pooled: bool = False
     #: Set for eager messages once the payload is fully at the receiver.
     arrived: bool = False
-    #: Sender-side bookkeeping (the SendOp driving this message).
-    send_op: Any = None
+    #: The sender's completion event (succeeded at rendezvous delivery).
+    #: Not the SendOp itself: that would tie message and op into a cycle
+    #: holding the payload until the cyclic collector runs.
+    sent: Any = None
 
     @property
     def key(self) -> MatchKey:

@@ -118,6 +118,14 @@ class RankRuntime:
         #: Set when an injected permanent fault killed this rank.
         self.crashed = False
 
+    def close(self) -> None:
+        """Drop what an aborted run left queued (the world is finished):
+        posted receives, unexpected messages and deferred protocol steps
+        all hold views of payloads and bounce buffers."""
+        self.posted.clear()
+        self.unexpected.clear()
+        self._on_progress.clear()
+
     # ------------------------------------------------------------------
     # Crash delivery (permanent-fault hook)
     # ------------------------------------------------------------------
@@ -250,7 +258,7 @@ class RankRuntime:
                 integrity.checksum_computed += 1
             msg.piece_checksums = piece_checksums
         op = SendOp(msg, event, eng.now)
-        msg.send_op = op
+        msg.sent = event
         dst_rt = self.world.runtime(dst)
         fabric = self.world.cluster.fabric
         self.tracer.emit(
@@ -381,7 +389,7 @@ class RankRuntime:
         # the same ordering the pre-integrity code hard-coded here.
         dst_rt._deliver(
             data,
-            lambda: dst_rt._finish_recv(op, msg, sender_event=msg.send_op.event),
+            lambda: dst_rt._finish_recv(op, msg, sender_event=msg.sent),
         )
 
     # ------------------------------------------------------------------

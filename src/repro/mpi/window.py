@@ -420,3 +420,10 @@ class WindowRegistry:
             if size > 0 and rank not in window.buffers:
                 window.buffers[rank] = np.zeros(size, dtype=np.uint8)
         return WindowHandle(window, self.world.comm(rank))
+
+    def close(self) -> None:
+        """Release every window's exposed memory (the world is finished)."""
+        for window in self._windows.values():
+            window.buffers.clear()
+            window.ledgers.clear()
+        self._windows.clear()

@@ -25,6 +25,8 @@ bytes on every run.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.collio.api import RunPipeline
@@ -102,10 +104,15 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
         raise ConfigurationError(
             f"RunSpec.recovery must be a RecoverySpec or None, got {type(rspec).__name__}"
         )
+    run = RunPipeline(spec, algorithm, config, auto_counters)
+    return run.run(partial(_recovery_loop, rspec=rspec))
+
+
+def _recovery_loop(run: RunPipeline, rspec: RecoverySpec) -> RecoveryReport:
+    """Drive ``run``'s attempts until one completes; returns the report."""
+    spec = run.spec
     budget = rspec.attempt_budget(spec.nprocs, spec.fs.num_targets)
     failover = rspec.detection_timeout + rspec.failover_overhead
-
-    run = RunPipeline(spec, algorithm, config, auto_counters)
     journal = CycleJournal()
     crashed: set[int] = set()
     down: set[int] = set()
@@ -138,7 +145,8 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
         )
         now = run.elapsed  # global clock at the end of this attempt
 
-        # Durable state the next attempt inherits.
+        # Durable state the next attempt inherits (read now: the next
+        # attempt closes this world).
         pfs = run.world.pfs
         files = pfs.file_store()
         newly_down = sorted({t.target_id for t in pfs.targets if t.down} - down)
@@ -196,4 +204,4 @@ def run_with_recovery(spec, algorithm: str, config, auto_counters: dict | None):
         "recovery.torn_cycles": report.torn_cycles,
     })
     run.metrics.gauge("recovery.failover_time").set(report.failover_time)
-    return run.build_result(report)
+    return report

@@ -200,6 +200,16 @@ class Process(Event):
         """True while the generator has not terminated."""
         return not self.triggered
 
+    def abandon(self) -> None:
+        """Unwind a generator the simulation will never resume.
+
+        For the processes of a run that was aborted: their suspended
+        frames hold the buffers they were working on.  The event stays
+        untriggered — nobody is left to wait for it.
+        """
+        if not self.triggered:
+            self._generator.close()
+
     def interrupt(self, exception: BaseException) -> bool:
         """Kill the process by throwing ``exception`` into its generator.
 
@@ -355,6 +365,11 @@ class Engine:
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a new :class:`Process` running ``generator``."""
         return Process(self, generator, name=name)
+
+    def close(self) -> None:
+        """Drop the pending events (an aborted run's in-flight work; the
+        clock and the statistics stay readable)."""
+        self._heap.clear()
 
     @property
     def active_process(self) -> Process | None:

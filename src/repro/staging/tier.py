@@ -435,6 +435,12 @@ class StagingTier:
     def scheduler_for_rank(self, rank: int) -> DrainScheduler:
         return self.node(self.world.cluster.node_of_rank(rank))
 
+    def close(self) -> None:
+        """Release the staged snapshots (the world is finished; what was
+        not drained by now is lost with it).  Counters stay readable."""
+        for scheduler in self._nodes.values():
+            scheduler.buffer.pending.clear()
+
     # -- accounting ----------------------------------------------------
     def buffers(self) -> list[BurstBuffer]:
         return [self._nodes[n].buffer for n in sorted(self._nodes)]
