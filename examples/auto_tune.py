@@ -27,7 +27,6 @@ from repro.api import (
     run_collective_write,
 )
 from repro.bench.experiments import tuning_tables
-from repro.sim import Tracer
 from repro.units import fmt_time
 
 #: Small scenario so the whole example runs in seconds.
@@ -38,26 +37,22 @@ SCALE = 256
 def main() -> None:
     with tempfile.TemporaryDirectory() as cache_dir:
         # -- 1: search ------------------------------------------------
-        tracer = Tracer()
         result = autotune(
             benchmark="ior", cluster="crill", nprocs=NPROCS, scale=SCALE,
             search="halving", reps=3, n_workers=4, cache_dir=cache_dir,
-            tracer=tracer,
         )
         print(tuning_tables(result)[0].text())
         print(f"\nwinner: {result.best.candidate.label} "
               f"({fmt_time(result.best.point)})")
 
         # -- 2: the cache makes reruns free ---------------------------
-        rerun_tracer = Tracer()
         rerun = autotune(
             benchmark="ior", cluster="crill", nprocs=NPROCS, scale=SCALE,
             search="halving", reps=3, n_workers=4, cache_dir=cache_dir,
-            tracer=rerun_tracer,
         )
         assert rerun.to_json() == result.to_json()
-        print(f"\nrerun: {rerun_tracer.count('tune.cache_hit')} cache hits, "
-              f"{rerun_tracer.count('tune.sim_run')} simulations")
+        hits, sims = rerun.cache_stats()
+        print(f"\nrerun: {hits} cache hits, {sims} simulations")
 
         # -- 3: algorithm="auto" inside the write API -----------------
         workload = make_workload("ior", NPROCS, scale=SCALE)

@@ -34,7 +34,6 @@ from repro.bench.table import Table
 from repro.config import DEFAULT_SCALE, DEFAULT_SEED
 from repro.faults import FAULT_PRESETS
 from repro.obs import write_chrome_trace
-from repro.sim.trace import Tracer
 from repro.tune import autotune, default_space, full_space
 from repro.workloads import WORKLOADS
 
@@ -99,7 +98,6 @@ def _run_tune(args: Invocation):
         space=full_space() if args.space == "full" else default_space(),
         search=args.search, reps=args.reps, screen_reps=args.screen_reps,
         n_workers=n_workers, cache_dir=args.cache_dir, base_seed=args.seed,
-        tracer=Tracer(),
     )
 
 

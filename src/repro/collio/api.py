@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import traceback
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar
+from typing import Any, Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -56,8 +55,7 @@ from repro.faults.spec import FaultSpec
 from repro.fs.presets import FsSpec
 from repro.hardware.cluster import ClusterSpec
 from repro.mpi.world import World
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import SpanRecorder
+from repro.sim.trace import Recorder
 from repro.specbase import SpecBase
 
 __all__ = [
@@ -177,7 +175,7 @@ class RunSpec(SpecBase):
     auto_cache_dir: str | None = None
     #: Record span timelines (exportable as a Chrome trace; see repro.obs).
     trace: bool = False
-    #: Ring-buffer bound for trace records/spans (None = unbounded).
+    #: Ring-buffer bound for the run's recorded spans (None = unbounded).
     max_trace_records: int | None = None
 
     def validate(self, direction: Direction = WRITE) -> "RunSpec":
@@ -389,13 +387,15 @@ class CollectiveWriteResult:
     #: SHA-256 of the actual file bytes read back from the simulated PFS
     #: (set by verification runs; None when ``verify`` was off).
     file_sha256: str | None = None
-    #: Snapshot of the world tracer's always-on counters after the run
-    #: (``fault.*`` injections, ``retry.*`` recoveries, protocol events).
+    #: The counters the library counted during the run (``fault.*``
+    #: injections, ``retry.*`` recoveries, protocol events, the tuner's
+    #: ``tune.auto_*``): ``metrics["counters"]`` without the statistics
+    #: the pipeline folded in.
     trace_counters: dict = field(default_factory=dict)
     #: Closed spans recorded during the run (``RunSpec(trace=True)`` only).
     spans: list = field(default_factory=list, repr=False)
-    #: :meth:`MetricsRegistry.snapshot` of run metrics (counters merged
-    #: with engine statistics, gauges, span-duration histograms).
+    #: :meth:`Recorder.snapshot` of the run's recorder (counters with
+    #: engine/storage/staging statistics, gauges, span-duration histograms).
     metrics: dict = field(default_factory=dict, repr=False)
     #: :class:`~repro.recovery.report.RecoveryReport` when the run went
     #: through the crash-recovery manager; None for plain runs.
@@ -488,11 +488,15 @@ def run_collective_write(spec: RunSpec) -> CollectiveWriteResult:
 class RunPipeline:
     """One collective write from spec to result: attempt(s), then build.
 
-    :meth:`attempt` runs the write in a fresh world and absorbs what the
-    finished world exposes, so a run of several attempts reports the same
-    metrics as a run of one; :meth:`build_result` turns that into the
-    :class:`CollectiveWriteResult`.  A caller that owns further metrics
-    (the recovery loop's ``recovery.*``) adds them to ``metrics`` first.
+    The run owns one :class:`~repro.sim.trace.Recorder`, shared by every
+    attempt.  :meth:`attempt` runs the write in a fresh world that counts
+    and records into it, with the attempt's start as the clock origin,
+    then folds in the statistics the finished world keeps itself (engine,
+    storage targets, delivery arenas, staging tier), so a run of several
+    attempts reports the same metrics as a run of one;
+    :meth:`build_result` turns that into the
+    :class:`CollectiveWriteResult`.  A caller that owns further statistics
+    (the recovery loop's ``recovery.*``) adds them with :meth:`fold` first.
     :meth:`run` wraps both and releases, on every way out, what the run
     held: host memory is the payloads, one file store sized once, the
     cycle buffers and one verification window — and nothing afterwards.
@@ -506,11 +510,10 @@ class RunPipeline:
                  auto_counters: dict | None = None, direction: Direction = WRITE) -> None:
         self.spec, self.algorithm, self.config = spec, algorithm, config
         self.direction = direction
-        self.metrics = MetricsRegistry()
-        #: Tracer counters summed over attempts (plus the tuner's).
-        self.trace_counters: Counter[str] = Counter(auto_counters or {})
-        self.metrics.merge_counters(self.trace_counters)
-        self.spans: list = []
+        self.recorder = Recorder(active=spec.trace, max_records=spec.max_trace_records)
+        self.recorder.counters.update(auto_counters or {})
+        #: Counters folded in by :meth:`fold`: not ``trace_counters``.
+        self._folded: set[str] = set()
         #: Global clock at the end of the last attempt.
         self.elapsed = 0.0
         self.bytes_written = 0
@@ -576,14 +579,11 @@ class RunPipeline:
         if self.world is not None:
             # Superseded; its file store lives on in this attempt's world.
             self.world.close(keep_files=True)
-        recorder = (
-            SpanRecorder(enabled=True, max_records=spec.max_trace_records)
-            if spec.trace
-            else None
-        )
+        recorder = self.recorder
+        recorder.start_attempt(base)
         world = self.world = World(
             spec.cluster, spec.nprocs, fs_spec=spec.fs, seed=spec.seed,
-            faults=spec.faults, tracer=recorder, journal=journal,
+            faults=spec.faults, recorder=recorder, journal=journal,
             crashed_ranks=crashed, down_targets=down,
         )
         if files is not None:
@@ -618,7 +618,7 @@ class RunPipeline:
             }
         self.buffers = self._prefill() if reading else self.payloads
         span = None
-        if number and recorder is not None:
+        if number:
             span = recorder.begin(
                 0.0, f"attempt{number}", "recovery", flow="async",
                 attempt=number, remaining_bytes=plan.total_bytes,
@@ -643,12 +643,8 @@ class RunPipeline:
             # buffers, held until the error itself is collected) go now.
             traceback.clear_frames(exc.__traceback__)
             failure = exc
-        if recorder is not None:
-            recorder.end(span, world.now)
-            for closed in recorder.closed_spans():
-                closed.t0 += base
-                closed.t1 += base
-                self.spans.append(closed)
+        recorder.end(span, world.now)
+        recorder.end_attempt()
         self.elapsed = base + world.now
         self._absorb(failed=failure is not None)
         return failure
@@ -671,33 +667,38 @@ class RunPipeline:
             for r in range(spec.nprocs)
         }
 
+    def fold(self, counts: Mapping[str, int]) -> None:
+        """Add statistics to the run's counters (``metrics`` only: they
+        stay out of ``trace_counters``)."""
+        self.recorder.counters.update(counts)
+        self._folded.update(counts)
+
     def _absorb(self, failed: bool) -> None:
-        """Fold the finished world's counters and statistics into the run's."""
-        world, metrics = self.world, self.metrics
-        self.trace_counters.update(world.cluster.tracer.counters)
-        metrics.merge_counters(world.cluster.tracer.counters)
-        metrics.counter("sim.events_processed").inc(world.engine.events_processed)
-        metrics.counter("sim.timeouts_coalesced").inc(world.engine.timeouts_coalesced)
-        metrics.gauge("sim.max_heap_len").max(world.engine.max_heap_len)
-        targets = world.pfs.targets
+        """Fold in the statistics the finished world keeps itself."""
+        world, recorder = self.world, self.recorder
+        engine, targets = world.engine, world.pfs.targets
         self.bytes_written += world.pfs.bytes_written
-        metrics.counter("fs.writes_failed").inc(sum(t.writes_failed for t in targets))
-        metrics.counter("fs.writes_rejected").inc(sum(t.writes_rejected for t in targets))
+        self.fold({
+            "sim.events_processed": engine.events_processed,
+            "sim.timeouts_coalesced": engine.timeouts_coalesced,
+            "fs.writes_failed": sum(t.writes_failed for t in targets),
+            "fs.writes_rejected": sum(t.writes_rejected for t in targets),
+            **world.buffer_pool_counters(),
+        })
+        recorder.max_gauge("sim.max_heap_len", engine.max_heap_len)
         # Down targets stay down in every later world: the last count is
         # the cumulative one.
-        metrics.gauge("fs.targets_down").set(sum(1 for t in targets if t.down))
-        metrics.merge_counters(world.buffer_pool_counters())
+        recorder.set_gauge("fs.targets_down", sum(1 for t in targets if t.down))
         tier = world.staging
         if tier is not None:
             # The tier is per-attempt and volatile: what a *failed* attempt
             # had not drained is data the crash destroyed (the journal
             # never committed it, so replay re-drives those cycles).
             undrained = tier.undrained_bytes()
-            metrics.merge_counters(tier.counter_totals())
-            metrics.counter("staging.lost_bytes").inc(undrained if failed else 0)
-            metrics.gauge("staging.occupancy_peak").max(tier.occupancy_peak())
-            metrics.gauge("staging.capacity").set(tier.spec.capacity)
-            metrics.gauge("staging.undrained_bytes").set(undrained)
+            self.fold({**tier.counter_totals(), "staging.lost_bytes": undrained if failed else 0})
+            recorder.max_gauge("staging.occupancy_peak", tier.occupancy_peak())
+            recorder.set_gauge("staging.capacity", tier.spec.capacity)
+            recorder.set_gauge("staging.undrained_bytes", undrained)
         if world.integrity is not None:
             self.integrity = world.integrity.snapshot()
 
@@ -707,7 +708,7 @@ class RunPipeline:
         Reports the first attempt's plan (the intended one); ``recovery``
         is the loop's :class:`~repro.recovery.report.RecoveryReport`.
         """
-        spec, plan, elapsed = self.spec, self.plan, self.elapsed
+        spec, plan, elapsed, recorder = self.spec, self.plan, self.elapsed, self.recorder
         bandwidth = plan.total_bytes / elapsed if elapsed > 0 else 0.0
         result = CollectiveWriteResult(
             algorithm=self.algorithm,
@@ -720,35 +721,34 @@ class RunPipeline:
             elapsed=elapsed,
             **{f"{self.direction.name}_bandwidth": bandwidth},
             per_rank_stats=self.stats,
-            trace_counters=dict(self.trace_counters),
-            spans=self.spans,
+            spans=list(recorder.spans),
             recovery=recovery,
             integrity=self.integrity,
         )
-        metrics = self.metrics
-        metrics.gauge("run.elapsed").set(elapsed)
-        metrics.gauge(f"run.{self.direction.name}_bandwidth").set(bandwidth)
-        metrics.gauge("fs.bytes_written").set(self.bytes_written)
+        result.trace_counters = {
+            k: v for k, v in recorder.counters.items() if k not in self._folded
+        }
+        recorder.set_gauge("run.elapsed", elapsed)
+        recorder.set_gauge(f"run.{self.direction.name}_bandwidth", bandwidth)
+        recorder.set_gauge("fs.bytes_written", self.bytes_written)
+        if "staging.capacity" in recorder.gauges:  # some attempt staged
+            self.fold({"staging.stalls": recorder.count("staging.stall")})
         # Message counts live in the ranks' PhaseStats, which only the
         # completed attempt returns.
-        metrics.counter("comm.messages_inter_node").inc(
-            result.aggregate_counter("messages_inter_node")
-        )
-        metrics.counter("comm.messages_intra_node").inc(
-            result.aggregate_counter("messages_intra_node")
-        )
-        gather_messages = result.aggregate_counter("gather_messages")
-        if gather_messages:
-            metrics.counter("intranode.gather_messages").inc(gather_messages)
-            metrics.counter("intranode.gather_bytes").inc(
-                result.aggregate_counter("gather_bytes")
-            )
-            metrics.counter("intranode.leader_local_copies").inc(
-                result.aggregate_counter("gather_local_copies")
-            )
+        total = result.aggregate_counter
+        self.fold({
+            "comm.messages_inter_node": total("messages_inter_node"),
+            "comm.messages_intra_node": total("messages_intra_node"),
+        })
+        if total("gather_messages"):
+            self.fold({
+                "intranode.gather_messages": total("gather_messages"),
+                "intranode.gather_bytes": total("gather_bytes"),
+                "intranode.leader_local_copies": total("gather_local_copies"),
+            })
         for span in result.spans:
-            metrics.histogram(f"span.{span.category}.dur").observe(span.dur)
-        result.metrics = metrics.snapshot()
+            recorder.observe(f"span.{span.category}.dur", span.dur)
+        result.metrics = recorder.snapshot()
         if spec.verify or self.config.verify:
             if self.direction is WRITE:
                 result.file_sha256 = self._verify_file()

@@ -122,9 +122,9 @@ class AlgoContext:
         self.rank = mpi.rank
         self.agg_index = plan.agg_index_of_rank.get(mpi.rank)
         self.stats = PhaseStats()
-        #: The world's shared tracer; a SpanRecorder here turns every
-        #: write/shuffle step into a span (base Tracer = free no-ops).
-        self.recorder = mpi.world.cluster.tracer
+        #: The world's shared recorder; when ``active`` every
+        #: write/shuffle step becomes a span (otherwise free no-ops).
+        self.recorder = mpi.world.cluster.recorder
         #: Open "io" spans of posted-but-unwaited async writes, by handle id.
         self._write_spans: dict[int, object] = {}
         #: The recovery cycle journal, or None outside recovery runs.
@@ -422,10 +422,7 @@ class AlgoContext:
             agg_rank=self.rank, agg_index=self.agg_index, cycle=cycle,
             offset=offset, nbytes=nbytes, checksum=checksum,
         )
-        self.recorder.emit(
-            self.mpi.now, "recovery.journal_commit",
-            rank=self.rank, cycle=cycle, bytes=nbytes,
-        )
+        self.recorder.inc("recovery.journal_commit")
 
     def _drain_commit(self, entry):
         """Deferred commit for staged writes: burst-buffer contents are
@@ -693,9 +690,7 @@ class AlgoContext:
                 continue
             report.mismatches += 1
             report.bad_offsets.append(offset)
-            integrity.note(
-                "detected", stage="scrub", rank=self.rank, offset=offset
-            )
+            integrity.note("detected")
             source = (
                 integrity.repair_source(self.fh.path, offset, nbytes)
                 if integrity.repairs
@@ -708,24 +703,18 @@ class AlgoContext:
             # per-write read-back is off — the scrub is the last line of
             # defense and must not trade one corruption for another.
             fixed = False
-            for attempt in range(integrity.spec.max_repair_attempts):
-                integrity.note(
-                    "rewrite", stage="scrub", rank=self.rank, offset=offset,
-                    attempt=attempt,
-                )
+            for _ in range(integrity.spec.max_repair_attempts):
+                integrity.note("rewrite")
                 yield from self.fh.write_at(offset, source, checksum=crc)
                 stored_crc = yield from self._scrub_extent_crc(offset, nbytes)
                 if stored_crc == crc:
                     fixed = True
                     break
-                integrity.note(
-                    "detected", stage="scrub", rank=self.rank, offset=offset,
-                    attempt=attempt + 1,
-                )
+                integrity.note("detected")
             if not fixed:
                 continue
             report.repaired += 1
-            integrity.note("repaired", stage="scrub", rank=self.rank, offset=offset)
+            integrity.note("repaired")
         integrity.scrub_reports.append(report)
         self.recorder.end(span, self.mpi.now)
         self.stats.add_time("scrub", self.mpi.now - t0)

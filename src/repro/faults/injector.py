@@ -5,10 +5,10 @@ draws from its own named RNG stream (one for whole-write failures, one
 per storage target for stragglers, one per rank for deliveries), so
 adding a new fault consumer never perturbs the schedules of existing
 ones — the same property :class:`~repro.sim.rng.RngStreams` gives the
-performance model's noise.  Every *fired* injection is recorded through
-the world's :class:`~repro.sim.trace.Tracer` under a ``fault.*``
-category, so tests and benchmarks can assert on counters without
-enabling full tracing.
+performance model's noise.  Every *fired* injection bumps a ``fault.*``
+counter of the world's :class:`~repro.sim.trace.Recorder` (their sum
+is the injection total), so tests and benchmarks can assert on counts
+without recording spans.
 
 Fault draws happen in event callbacks and rank generators, both of which
 the engine processes in deterministic heap order; a faulty run is
@@ -18,9 +18,8 @@ therefore exactly as reproducible as a clean one.
 from __future__ import annotations
 
 from repro.faults.spec import FaultSpec
-from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import Recorder
 
 __all__ = ["FaultInjector"]
 
@@ -28,14 +27,10 @@ __all__ = ["FaultInjector"]
 class FaultInjector:
     """Per-world fault decision source (see module docs)."""
 
-    def __init__(self, engine: Engine, rng: RngStreams, tracer: Tracer, spec: FaultSpec) -> None:
-        self.engine = engine
+    def __init__(self, rng: RngStreams, recorder: Recorder, spec: FaultSpec) -> None:
         self.rng = rng
-        self.tracer = tracer
+        self.recorder = recorder
         self.spec = spec
-        #: Total injections fired, by kind (cheap mirror of the tracer's
-        #: ``fault.*`` counters, kept for layers without tracer access).
-        self.injected = 0
 
     # -- storage ---------------------------------------------------------
     def storage_write_victim(self, target_ids) -> int | None:
@@ -57,8 +52,7 @@ class FaultInjector:
             return None
         ids = list(target_ids)
         victim = ids[min(int(u / spec.write_fail_rate * len(ids)), len(ids) - 1)]
-        self.injected += 1
-        self.tracer.emit(self.engine.now, "fault.write_fail", target=victim)
+        self.recorder.inc("fault.write_fail")
         return victim
 
     def storage_service_factor(self, target_id: int) -> float:
@@ -73,11 +67,7 @@ class FaultInjector:
             return 1.0
         u = float(self.rng.stream(f"faults.ost{target_id}").random())
         if u < spec.straggler_rate:
-            self.injected += 1
-            self.tracer.emit(
-                self.engine.now, "fault.straggler",
-                target=target_id, factor=spec.straggler_factor,
-            )
+            self.recorder.inc("fault.straggler")
             return spec.straggler_factor
         return 1.0
 
@@ -109,8 +99,7 @@ class FaultInjector:
             f"faults.corrupt.r{rank}", self.spec.message_corrupt_rate, size
         )
         if pos is not None:
-            self.injected += 1
-            self.tracer.emit(self.engine.now, "fault.msg_corrupt", rank=rank, pos=pos)
+            self.recorder.inc("fault.msg_corrupt")
         return pos
 
     def staging_corruption(self, node: int, size: int) -> int | None:
@@ -120,10 +109,7 @@ class FaultInjector:
             f"faults.bitrot.n{node}", self.spec.staging_corrupt_rate, size
         )
         if pos is not None:
-            self.injected += 1
-            self.tracer.emit(
-                self.engine.now, "fault.staging_corrupt", node=node, pos=pos
-            )
+            self.recorder.inc("fault.staging_corrupt")
         return pos
 
     def storage_corruption(self, size: int) -> int | None:
@@ -132,8 +118,7 @@ class FaultInjector:
             "faults.storage", self.spec.storage_corrupt_rate, size
         )
         if pos is not None:
-            self.injected += 1
-            self.tracer.emit(self.engine.now, "fault.storage_corrupt", pos=pos)
+            self.recorder.inc("fault.storage_corrupt")
         return pos
 
     def torn_write(self, size: int) -> int | None:
@@ -143,8 +128,7 @@ class FaultInjector:
             "faults.torn", self.spec.torn_write_rate, size
         )
         if keep is not None:
-            self.injected += 1
-            self.tracer.emit(self.engine.now, "fault.torn_write", keep=keep, size=size)
+            self.recorder.inc("fault.torn_write")
         return keep
 
     # -- permanent faults ------------------------------------------------
@@ -188,21 +172,19 @@ class FaultInjector:
             return False
         u = float(self.rng.stream(f"faults.aio.r{client}").random())
         if u < spec.aio_submit_fail_rate:
-            self.injected += 1
-            self.tracer.emit(self.engine.now, "fault.aio_submit", client=client)
+            self.recorder.inc("fault.aio_submit")
             return True
         return False
 
     # -- messaging -------------------------------------------------------
-    def _delivery_delay(self, stream: str, rate: float, mean: float, category: str, rank: int) -> float:
+    def _delivery_delay(self, stream: str, rate: float, mean: float, category: str) -> float:
         if rate == 0.0 or mean == 0.0:
             return 0.0
         gen = self.rng.stream(stream)
         if float(gen.random()) >= rate:
             return 0.0
         delay = mean * (0.5 + float(gen.random()))
-        self.injected += 1
-        self.tracer.emit(self.engine.now, category, rank=rank, delay=delay)
+        self.recorder.inc(category)
         return delay
 
     def message_delay(self, rank: int) -> float:
@@ -210,7 +192,7 @@ class FaultInjector:
         spec = self.spec
         return self._delivery_delay(
             f"faults.net.r{rank}", spec.message_delay_rate, spec.message_delay,
-            "fault.msg_delay", rank,
+            "fault.msg_delay",
         )
 
     def rendezvous_delay(self, rank: int) -> float:
@@ -218,5 +200,5 @@ class FaultInjector:
         spec = self.spec
         return self._delivery_delay(
             f"faults.rndv.r{rank}", spec.rendezvous_delay_rate, spec.rendezvous_delay,
-            "fault.rendezvous_delay", rank,
+            "fault.rendezvous_delay",
         )

@@ -19,7 +19,7 @@ Retrying is safe because the simulated file system's writes are
 idempotent: reissuing the same bytes at the same offset converges to the
 same file contents even when an earlier, timed-out attempt completes
 later.  Every retry, timeout, degradation and recovery is emitted
-through the world's tracer under a ``retry.*`` category.
+through the world's recorder under a ``retry.*`` category.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class ReliableWriter:
         self.fh = fh
         self.policy = policy
         self.engine = mpi.engine
-        self.tracer = mpi.world.cluster.tracer
+        self.recorder = mpi.world.cluster.recorder
         self.rank = mpi.rank
         #: Sticky: once True, every write takes the blocking path.
         self.degraded = False
@@ -140,7 +140,7 @@ class ReliableWriter:
         policy = self.policy
         attempt = 0
         while True:
-            span = self.tracer.begin(
+            span = self.recorder.begin(
                 self.engine.now, "write_attempt", "retry",
                 rank=self.rank, offset=offset, attempt=attempt,
             )
@@ -149,39 +149,29 @@ class ReliableWriter:
                     offset, data, size=size, timeout=policy.write_timeout,
                     checksum=checksum,
                 )
-                self.tracer.end(span, self.engine.now)
+                self.recorder.end(span, self.engine.now)
                 if attempt:
-                    self.tracer.emit(
-                        self.engine.now, "retry.recovered",
-                        rank=self.rank, offset=offset, attempts=attempt,
-                    )
+                    self.recorder.inc("retry.recovered")
                 return
             except CorruptDataError:
                 # Not retryable here: the integrity layer already spent
                 # its bounded repair attempts (or detect mode wants the
                 # failure surfaced).  Reissuing the same bytes would just
                 # burn the whole retry budget on a lost cause.
-                self.tracer.end(span, self.engine.now)
+                self.recorder.end(span, self.engine.now)
                 raise
             except FileSystemError as exc:
-                self.tracer.end(span, self.engine.now)
+                self.recorder.end(span, self.engine.now)
                 attempt += 1
                 if policy.max_retries == 0:
                     raise
                 if attempt > policy.max_retries:
-                    self.tracer.emit(
-                        self.engine.now, "retry.exhausted",
-                        rank=self.rank, offset=offset, attempts=attempt,
-                    )
+                    self.recorder.inc("retry.exhausted")
                     raise WriteRetryExhaustedError(
                         f"write at offset {offset} failed on all {attempt} attempts"
                     ) from exc
                 backoff = policy.backoff_for(attempt, key=(self.rank, offset))
-                self.tracer.emit(
-                    self.engine.now, "retry.attempt",
-                    rank=self.rank, offset=offset, attempt=attempt,
-                    error=type(exc).__name__, backoff=backoff,
-                )
+                self.recorder.inc("retry.attempt")
                 if backoff:
                     yield self.engine.timeout(backoff)
 
@@ -209,18 +199,13 @@ class ReliableWriter:
                 and self._submit_failures >= policy.degrade_after
             ):
                 self.degraded = True
-                self.tracer.emit(
-                    self.engine.now, "retry.degraded",
-                    rank=self.rank, after=self._submit_failures,
-                )
+                self.recorder.inc("retry.degraded")
             if policy.max_retries == 0:
                 raise
             # This write falls back to the blocking path right away; the
             # rank loses this cycle's overlap but the pipeline stays
             # correct.
-            self.tracer.emit(
-                self.engine.now, "retry.sync_fallback", rank=self.rank, offset=offset
-            )
+            self.recorder.inc("retry.sync_fallback")
             yield from self.write_at(offset, data, size=size, checksum=checksum)
             return self._completed_handle()
         self._submit_failures = 0
@@ -259,10 +244,7 @@ class ReliableWriter:
                         # The attempt may still complete (or fail) later;
                         # either way nobody waits on it any more.
                         defuse(event)
-                        self.tracer.emit(
-                            engine.now, "retry.timeout",
-                            rank=self.rank, offset=offset, attempt=attempt,
-                        )
+                        self.recorder.inc("retry.timeout")
                         failure = WriteTimeoutError(
                             f"write at offset {offset} timed out after "
                             f"{policy.write_timeout}s"
@@ -270,19 +252,16 @@ class ReliableWriter:
             except CorruptDataError as exc:
                 # Non-retryable (see write_at): surface it through the
                 # handle without burning the retry budget.
-                self.tracer.end(attempt_span, engine.now)
+                self.recorder.end(attempt_span, engine.now)
                 outer.fail(exc)
                 return
             except FileSystemError as exc:
                 failure = exc
-            self.tracer.end(attempt_span, engine.now)
+            self.recorder.end(attempt_span, engine.now)
             attempt_span = None
             if failure is None:
                 if attempt:
-                    self.tracer.emit(
-                        engine.now, "retry.recovered",
-                        rank=self.rank, offset=offset, attempts=attempt,
-                    )
+                    self.recorder.inc("retry.recovered")
                 outer.succeed(engine.now)
                 return
             attempt += 1
@@ -290,10 +269,7 @@ class ReliableWriter:
                 outer.fail(failure)
                 return
             if attempt > policy.max_retries:
-                self.tracer.emit(
-                    engine.now, "retry.exhausted",
-                    rank=self.rank, offset=offset, attempts=attempt,
-                )
+                self.recorder.inc("retry.exhausted")
                 exhausted = WriteRetryExhaustedError(
                     f"write at offset {offset} failed on all {attempt} attempts"
                 )
@@ -301,17 +277,13 @@ class ReliableWriter:
                 outer.fail(exhausted)
                 return
             backoff = policy.backoff_for(attempt, key=(self.rank, offset))
-            self.tracer.emit(
-                engine.now, "retry.attempt",
-                rank=self.rank, offset=offset, attempt=attempt,
-                error=type(failure).__name__, backoff=backoff,
-            )
+            self.recorder.inc("retry.attempt")
             if backoff:
                 yield engine.timeout(backoff)
             # Reissue inside the I/O stack (no rank involvement).  A
             # refused aio submission here forces the synchronous path for
             # this attempt — the OS writing through without aio.
-            attempt_span = self.tracer.begin(
+            attempt_span = self.recorder.begin(
                 engine.now, "retry_attempt", "retry",
                 rank=self.rank, flow="async", offset=offset, attempt=attempt,
             )
@@ -320,9 +292,7 @@ class ReliableWriter:
                     self.fh.file, offset, data, size=size, checksum=checksum
                 ).event
             except AioSubmitError:
-                self.tracer.emit(
-                    engine.now, "retry.sync_fallback", rank=self.rank, offset=offset
-                )
+                self.recorder.inc("retry.sync_fallback")
                 event = self.fh.pfs.write(
                     self.fh.file, offset, data, size=size, checksum=checksum
                 )

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import AioSubmitError, FileSystemError
 from repro.sim.engine import Engine, Event
 from repro.sim.resources import FifoResource
-from repro.sim.trace import Tracer
+from repro.sim.trace import Recorder
 from repro.fs.file import SimFile
 from repro.fs.pfs import ParallelFileSystem
 
@@ -53,13 +53,13 @@ class AioEngine:
         pfs: ParallelFileSystem,
         client: int = 0,
         injector=None,
-        tracer: Tracer | None = None,
+        recorder: Recorder | None = None,
     ) -> None:
         self.engine = engine
         self.pfs = pfs
         self.client = client
         self.injector = injector
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.recorder = recorder if recorder is not None else Recorder()
         spec = pfs.spec
         self._slots = (
             FifoResource(engine, capacity=spec.aio_slots) if spec.aio_slots is not None else None
@@ -99,13 +99,13 @@ class AioEngine:
         done = self.engine.event()
         req = AioRequest(done, offset, nbytes, self.engine.now)
         span = None
-        if self.tracer.active:
-            span = self.tracer.begin(
+        if self.recorder.active:
+            span = self.recorder.begin(
                 self.engine.now, "aio.write", "io.aio", rank=self.client,
                 flow="async", offset=offset, bytes=nbytes,
             )
         if span is not None:
-            done.callbacks.append(lambda evt, _s=span: self.tracer.end(_s, evt.engine.now))
+            done.callbacks.append(lambda evt, _s=span: self.recorder.end(_s, evt.engine.now))
         self.engine.process(
             self._drive(file, offset, data, size, done, checksum), name=f"aio@{offset}"
         )
@@ -122,13 +122,13 @@ class AioEngine:
         req = AioRequest(done, offset, int(size), self.engine.now)
         out = np.zeros(int(size), dtype=np.uint8)
         span = None
-        if self.tracer.active:
-            span = self.tracer.begin(
+        if self.recorder.active:
+            span = self.recorder.begin(
                 self.engine.now, "aio.read", "io.aio", rank=self.client,
                 flow="async", offset=offset, bytes=int(size),
             )
         if span is not None:
-            done.callbacks.append(lambda evt, _s=span: self.tracer.end(_s, evt.engine.now))
+            done.callbacks.append(lambda evt, _s=span: self.recorder.end(_s, evt.engine.now))
         self.engine.process(self._drive_read(file, offset, out, done), name=f"aior@{offset}")
         return req, out
 

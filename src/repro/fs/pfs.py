@@ -9,7 +9,7 @@ from repro.integrity.checksum import extent_checksum
 from repro.sim.engine import Engine, Event
 from repro.sim.primitives import all_of, defuse
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import Recorder
 from repro.fs.file import SimFile
 from repro.fs.presets import FsSpec
 from repro.fs.striping import StripeLayout
@@ -36,13 +36,13 @@ class ParallelFileSystem:
         spec: FsSpec,
         rng: RngStreams | None = None,
         injector=None,
-        tracer: Tracer | None = None,
+        recorder: Recorder | None = None,
         down_targets: frozenset[int] = frozenset(),
     ) -> None:
         self.engine = engine
         self.spec = spec
         self.injector = injector
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.recorder = recorder if recorder is not None else Recorder()
         self.layout = StripeLayout(stripe_size=spec.stripe_size, num_targets=spec.num_targets)
         rng = rng or RngStreams(0)
         self.targets = [
@@ -183,8 +183,8 @@ class ParallelFileSystem:
         """
         integrity = self.integrity
         span = None
-        if self.tracer.active:
-            span = self.tracer.begin(
+        if self.recorder.active:
+            span = self.recorder.begin(
                 self.engine.now, "readback", "integrity", flow="async",
                 bytes=int(data.size),
             )
@@ -194,14 +194,10 @@ class ParallelFileSystem:
                 yield self._write_plain(file, offset, data, carried_crc=checksum)
                 if file.stored_crc(offset, int(data.size)) == checksum:
                     if attempt:
-                        integrity.note(
-                            "repaired", stage="storage", offset=offset, attempts=attempt
-                        )
+                        integrity.note("repaired")
                     done.succeed(self.engine.now)
                     return
-                integrity.note(
-                    "detected", stage="storage", offset=offset, attempt=attempt
-                )
+                integrity.note("detected")
                 if not (integrity.repairs and attempt < integrity.spec.max_repair_attempts):
                     # Defused: the failure belongs to the waiter (retry
                     # layer / drain process), which may attach next tick.
@@ -214,14 +210,14 @@ class ParallelFileSystem:
                         )
                     )
                     return
-                integrity.note("rewrite", stage="storage", offset=offset)
+                integrity.note("rewrite")
                 attempt += 1
         except FileSystemError as exc:
             # Transient storage fault mid-verify: surface it unchanged so
             # the caller's existing retry machinery handles it.
             defuse(done.fail(exc))
         finally:
-            self.tracer.end(span, self.engine.now)
+            self.recorder.end(span, self.engine.now)
 
     def _write_plain(
         self,
@@ -256,8 +252,8 @@ class ParallelFileSystem:
             offset, size, down=frozenset(self.known_down)
         )
         span = None
-        if self.tracer.active:
-            span = self.tracer.begin(
+        if self.recorder.active:
+            span = self.recorder.begin(
                 self.engine.now, "pfs.write", "io.fs", flow="async",
                 bytes=size, targets=len(per_target),
             )
@@ -271,14 +267,12 @@ class ParallelFileSystem:
             def learn(_evt, _t=victim):
                 if _t not in self.known_down:
                     self.known_down.add(_t)
-                    self.tracer.emit(
-                        self.engine.now, "recovery.target_down", target=_t
-                    )
+                    self.recorder.inc("recovery.target_down")
 
             rejected.callbacks.insert(0, learn)
             if span is not None:
                 rejected.callbacks.append(
-                    lambda evt, _s=span: self.tracer.end(_s, evt.engine.now)
+                    lambda evt, _s=span: self.recorder.end(_s, evt.engine.now)
                 )
             return rejected
         if self.injector is not None:
@@ -287,13 +281,13 @@ class ParallelFileSystem:
                 failed = self.targets[victim].fail_write()
                 if span is not None:
                     failed.callbacks.append(
-                        lambda evt, _s=span: self.tracer.end(_s, evt.engine.now)
+                        lambda evt, _s=span: self.recorder.end(_s, evt.engine.now)
                     )
                 return failed
         piece_events = [self.targets[t].submit(n) for t, n in sorted(per_target.items())]
         done = all_of(self.engine, piece_events)
         if span is not None:
-            done.callbacks.append(lambda evt, _s=span: self.tracer.end(_s, evt.engine.now))
+            done.callbacks.append(lambda evt, _s=span: self.recorder.end(_s, evt.engine.now))
         # Commit only on success: a write that failed (injected target
         # fault) must not land bytes — the caller retries the whole
         # request, which is idempotent.  Silent storage faults strike at
@@ -351,8 +345,8 @@ class ParallelFileSystem:
             offset, size, down=frozenset(self.known_down)
         )
         span = None
-        if self.tracer.active:
-            span = self.tracer.begin(
+        if self.recorder.active:
+            span = self.recorder.begin(
                 self.engine.now, "pfs.read", "io.fs", flow="async",
                 bytes=size, targets=len(per_target),
             )
@@ -361,7 +355,7 @@ class ParallelFileSystem:
         ]
         done = all_of(self.engine, piece_events)
         if span is not None:
-            done.callbacks.append(lambda evt, _s=span: self.tracer.end(_s, evt.engine.now))
+            done.callbacks.append(lambda evt, _s=span: self.recorder.end(_s, evt.engine.now))
         return done, file.read(offset, size)
 
     # -- accounting ---------------------------------------------------------

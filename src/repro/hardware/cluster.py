@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from repro.errors import ConfigurationError
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import Recorder
 from repro.hardware.fabric import Fabric
 from repro.hardware.nic import Nic
 from repro.hardware.node import Node
@@ -111,14 +111,14 @@ class Cluster:
         engine: Engine,
         spec: ClusterSpec,
         seed: int = 0,
-        tracer: Tracer | None = None,
+        recorder: Recorder | None = None,
     ) -> None:
         self.engine = engine
         self.spec = spec
         self.rng = RngStreams(seed)
-        #: Shared tracer for all layers; pass a
-        #: :class:`repro.obs.span.SpanRecorder` to capture span timelines.
-        self.tracer = tracer if tracer is not None else Tracer()
+        #: Shared recorder for all layers (the run's, when a pipeline
+        #: builds this world; active if the run records spans).
+        self.recorder = recorder if recorder is not None else Recorder()
         net_noise = (
             self.rng.lognormal_noise("network", spec.network_noise_sigma)
             if spec.network_noise_sigma > 0

@@ -10,9 +10,9 @@ verify hooks:
   them in the per-path manifest (plus a pristine escrow copy in repair
   mode, the source of drain/scrub restoration);
 * the delivery, drain and storage hooks **verify** against carried
-  checksums and **note** what they saw — every note goes through the
-  world tracer as an ``integrity.*`` event, so detection/repair counts
-  ride the always-on counter machinery into the run's metrics for free;
+  checksums and **note** what they saw — every note bumps an
+  ``integrity.*`` counter of the world's recorder, so detection/repair
+  counts reach the run's metrics with every other counter;
 * the end-of-job scrub walks ``entries_for`` and appends its
   :class:`~repro.integrity.report.ScrubReport` here.
 
@@ -45,8 +45,11 @@ class IntegrityLayer:
     def __init__(self, world: "World", spec: IntegritySpec) -> None:
         self.world = world
         self.spec = spec
-        self.tracer = world.cluster.tracer
-        self.engine = world.engine
+        self.recorder = world.cluster.recorder
+        #: The recorder's ``integrity.*`` counts when this world's layer
+        #: attached: a run's recorder spans its attempts, a layer reports
+        #: only its own world.
+        self._counted_before = self._integrity_counts()
         #: (path, offset, nbytes) -> (crc32, producing aggregator rank).
         self.manifest: dict[tuple[str, int, int], tuple[int, int]] = {}
         #: Pristine extent copies for source-side repair (repair mode only).
@@ -145,18 +148,24 @@ class IntegrityLayer:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def note(self, kind: str, **detail) -> None:
-        """Record one integrity event (``integrity.<kind>`` counter)."""
-        self.tracer.emit(self.engine.now, f"integrity.{kind}", **detail)
+    def note(self, kind: str) -> None:
+        """Count one integrity event (``integrity.<kind>`` counter)."""
+        self.recorder.inc(f"integrity.{kind}")
+
+    def _integrity_counts(self) -> dict[str, int]:
+        return {k: v for k, v in self.recorder.counters.items() if k.startswith("integrity.")}
 
     def counters(self) -> dict[str, int]:
-        """The tracer's ``integrity.*`` counters (detections, repairs, ...).
+        """This world's ``integrity.*`` counts (detections, repairs, ...).
 
         The checksum-carrying tallies ride along under the same prefix so
         they surface in run metrics with the rest.
         """
+        before = self._counted_before
         out = {
-            k: v for k, v in self.tracer.counters.items() if k.startswith("integrity.")
+            k: v - before.get(k, 0)
+            for k, v in self._integrity_counts().items()
+            if v != before.get(k, 0)
         }
         out["integrity.checksum_computed"] = self.checksum_computed
         out["integrity.checksum_reused"] = self.checksum_reused

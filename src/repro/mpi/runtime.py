@@ -110,11 +110,7 @@ class RankRuntime:
         self.posted: dict[MatchKey, deque[RecvOp]] = {}
         self.unexpected: dict[MatchKey, deque[Message]] = {}
         self.unexpected_total = 0
-        self.tracer = world.cluster.tracer
-        # Counters for tests/analysis.
-        self.eager_sent = 0
-        self.rendezvous_sent = 0
-        self.progress_deferrals = 0
+        self.recorder = world.cluster.recorder
         #: Set when an injected permanent fault killed this rank.
         self.crashed = False
 
@@ -132,8 +128,8 @@ class RankRuntime:
     def deliver_crash(self, process, when: float) -> bool:
         """Kill this rank's ``process`` at ``when`` (injected rank crash).
 
-        The library marks itself crashed, emits the ``fault.rank_crash``
-        trace event and interrupts the rank generator with
+        The library marks itself crashed, counts a ``fault.rank_crash``
+        and interrupts the rank generator with
         :class:`~repro.errors.RankCrashError`; the uncaught failure
         aborts the engine run, which the recovery layer treats as the
         survivors' timeout-based crash detection.  Returns False if the
@@ -142,10 +138,7 @@ class RankRuntime:
         if self.crashed or process.triggered:
             return False
         self.crashed = True
-        injector = self.world.faults
-        if injector is not None:
-            injector.injected += 1
-        self.tracer.emit(when, "fault.rank_crash", rank=self.rank)
+        self.recorder.inc("fault.rank_crash")
         return process.interrupt(RankCrashError(self.rank, when))
 
     # ------------------------------------------------------------------
@@ -177,8 +170,7 @@ class RankRuntime:
         if self.progress_active:
             fn()
         else:
-            self.progress_deferrals += 1
-            self.tracer.emit(self.world.engine.now, "progress.deferred", rank=self.rank)
+            self.recorder.inc("progress.deferred")
             self._on_progress.append(fn)
 
     # ------------------------------------------------------------------
@@ -261,11 +253,8 @@ class RankRuntime:
         msg.sent = event
         dst_rt = self.world.runtime(dst)
         fabric = self.world.cluster.fabric
-        self.tracer.emit(
-            eng.now, f"send.{protocol}", src=self.rank, dst=dst, tag=tag, size=size
-        )
+        self.recorder.inc(f"send.{protocol}")
         if protocol == Protocol.EAGER:
-            self.eager_sent += 1
             # Buffered semantics: payload snapshot now, send completes
             # locally.  A ``readonly`` sender vouches the buffer stays
             # untouched until arrival, so the snapshot is skipped — the
@@ -283,7 +272,6 @@ class RankRuntime:
             dst_rt._deliver(transfer, lambda: dst_rt._eager_arrived(msg))
             event.succeed(eng.now)
         else:
-            self.rendezvous_sent += 1
             # Keep a *reference*: the payload is sampled when the data
             # transfer completes, so reusing the buffer early corrupts data
             # (as it would in a real zero-copy rendezvous).
@@ -346,10 +334,7 @@ class RankRuntime:
             msg.arrived = True
             self.unexpected.setdefault(msg.key, deque()).append(msg)
             self.unexpected_total += 1
-            self.tracer.emit(
-                self.world.engine.now, "recv.unexpected",
-                rank=self.rank, src=msg.src, queue_length=self.unexpected_total,
-            )
+            self.recorder.inc("recv.unexpected")
 
     def _rts_arrived(self, msg: Message) -> None:
         """Rendezvous RTS at the receiver: needs receiver progress."""
@@ -446,10 +431,7 @@ class RankRuntime:
             integrity.checksum_computed += 1
             actual = extent_checksum(op.buffer[: msg.size])
             if actual != msg.checksum:
-                integrity.note(
-                    "detected", stage="message", rank=self.rank, src=msg.src,
-                    attempt=attempt,
-                )
+                integrity.note("detected")
                 if (
                     integrity.repairs
                     and attempt < integrity.spec.max_repair_attempts
@@ -474,10 +456,7 @@ class RankRuntime:
                 )
                 return
             if attempt:
-                integrity.note(
-                    "repaired", stage="message", rank=self.rank, src=msg.src,
-                    attempts=attempt,
-                )
+                integrity.note("repaired")
             # Verified: the carried CRCs now describe the receiver's copy.
             op.checksum = msg.checksum
             op.piece_checksums = msg.piece_checksums
@@ -504,10 +483,7 @@ class RankRuntime:
         integrity spec's ``max_repair_attempts``.
         """
         integrity = self.world.integrity
-        integrity.note(
-            "retransmit", stage="message", rank=self.rank, src=msg.src,
-            attempt=attempt + 1,
-        )
+        integrity.note("retransmit")
         fabric = self.world.cluster.fabric
         src_rt = self.world.runtime(msg.src)
 

@@ -255,22 +255,14 @@ class WindowHandle:
                     actual = extent_checksum(target_buf[off : off + nbytes])
                     if actual == crc:
                         if attempt:
-                            integrity.note(
-                                "repaired", stage="rma", rank=target,
-                                src=self.rank, attempts=attempt,
-                            )
+                            integrity.note("repaired")
                         if file_offset is not None:
                             self.window.ledger(target).file(file_offset, nbytes, crc)
                         completion.succeed(world.engine.now)
                         return
-                    integrity.note(
-                        "detected", stage="rma", rank=target,
-                        src=self.rank, attempt=attempt,
-                    )
+                    integrity.note("detected")
                     if integrity.repairs and attempt < integrity.spec.max_repair_attempts:
-                        integrity.note(
-                            "retransmit", stage="rma", rank=target, src=self.rank
-                        )
+                        integrity.note("retransmit")
                         redo = fabric.transfer(
                             rt.node, target_node, nbytes + MESSAGE_HEADER_SIZE
                         )

@@ -29,7 +29,7 @@ from repro.mpi.comm import Communicator
 from repro.mpi.runtime import RankRuntime
 from repro.mpi.window import WindowRegistry
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
+from repro.sim.trace import Recorder
 
 __all__ = ["World"]
 
@@ -44,7 +44,7 @@ class World:
         fs_spec: FsSpec | None = None,
         seed: int = DEFAULT_SEED,
         faults: FaultSpec | None = None,
-        tracer: Tracer | None = None,
+        recorder: Recorder | None = None,
         journal=None,
         crashed_ranks: frozenset[int] = frozenset(),
         down_targets: frozenset[int] = frozenset(),
@@ -57,12 +57,12 @@ class World:
             )
         self.engine = Engine()
         self.nprocs = nprocs
-        self.cluster = Cluster(self.engine, cluster_spec, seed=seed, tracer=tracer)
+        self.cluster = Cluster(self.engine, cluster_spec, seed=seed, recorder=recorder)
         #: Shared fault injector, or None for a clean world.  A disabled
         #: FaultSpec (all rates zero) also yields None so the fault-free
         #: code paths stay byte-identical to a run without the subsystem.
         self.faults: FaultInjector | None = (
-            FaultInjector(self.engine, self.cluster.rng, self.cluster.tracer, faults)
+            FaultInjector(self.cluster.rng, self.cluster.recorder, faults)
             if faults is not None and faults.enabled
             else None
         )
@@ -92,7 +92,7 @@ class World:
                 fs_spec,
                 rng=self.cluster.rng,
                 injector=self.faults,
-                tracer=self.cluster.tracer,
+                recorder=self.cluster.recorder,
                 down_targets=self.down_targets,
             )
             if fs_spec is not None
@@ -169,7 +169,7 @@ class World:
                 self.pfs,
                 client=rank,
                 injector=self.faults,
-                tracer=self.cluster.tracer,
+                recorder=self.cluster.recorder,
             )
             self._aio[rank] = engine
         return engine
@@ -210,9 +210,7 @@ class World:
 
             def outage(_evt, _tid=tid):
                 self.pfs.targets[_tid].go_down()
-                if self.faults is not None:
-                    self.faults.injected += 1
-                self.cluster.tracer.emit(self.engine.now, "fault.ost_outage", target=_tid)
+                self.cluster.recorder.inc("fault.ost_outage")
 
             fire.callbacks.append(outage)
         return bool(self._crash_times or self._outage_times)

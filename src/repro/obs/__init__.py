@@ -1,13 +1,12 @@
-"""Structured observability: spans, exporters, metrics and overlap analysis.
+"""Structured observability: exporters and overlap analysis over spans.
 
-The subsystem decomposes into four orthogonal pieces:
+What a run records lives in one place, the run's
+:class:`~repro.sim.trace.Recorder` (counters, gauges, histograms and
+:class:`~repro.sim.trace.Span` timelines; re-exported here).  This
+package turns what it recorded into output:
 
-* :mod:`repro.obs.span` — the :class:`Span` timeline model and the
-  :class:`SpanRecorder` (a drop-in :class:`~repro.sim.trace.Tracer`);
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (Perfetto /
   ``chrome://tracing``) and CSV/summary exporters, plus the schema check;
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
-  gauges and fixed-bucket histograms;
 * :mod:`repro.obs.overlap` — the overlap-efficiency derived metric
   (fraction of write time hidden under in-flight shuffles).
 
@@ -25,13 +24,6 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import (
-    DURATION_BUCKETS,
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    MetricsRegistry,
-)
 from repro.obs.overlap import (
     CyclePair,
     OverlapReport,
@@ -39,13 +31,13 @@ from repro.obs.overlap import (
     merge_intervals,
     overlap_report,
 )
-from repro.obs.span import SPAN_CATEGORIES, Span, SpanRecorder, total_time
+from repro.sim.trace import DURATION_BUCKETS, SPAN_CATEGORIES, Recorder, Span
 
 __all__ = [
+    "Recorder",
     "Span",
-    "SpanRecorder",
     "SPAN_CATEGORIES",
-    "total_time",
+    "DURATION_BUCKETS",
     "chrome_trace",
     "chrome_trace_json",
     "write_chrome_trace",
@@ -54,11 +46,6 @@ __all__ = [
     "span_summary",
     "COMPUTE_PID",
     "STORAGE_PID",
-    "MetricsRegistry",
-    "CounterMetric",
-    "GaugeMetric",
-    "HistogramMetric",
-    "DURATION_BUCKETS",
     "OverlapReport",
     "RankOverlap",
     "CyclePair",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable, Sequence
 
-from repro.obs.span import Span
+from repro.sim.trace import Span
 
 __all__ = [
     "COMPUTE_PID",

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.obs.span import Span
+from repro.sim.trace import Span
 
 __all__ = ["RankOverlap", "CyclePair", "OverlapReport", "overlap_report", "merge_intervals"]
 

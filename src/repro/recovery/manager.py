@@ -12,9 +12,9 @@ contents that reached storage, the cycle journal, and the sets of dead
 ranks/targets.
 
 Each failover charges the :class:`~repro.recovery.spec.RecoverySpec`'s
-detection timeout and failover overhead to the global clock, and the
-per-attempt span timelines are shifted onto that clock so one merged
-Chrome trace shows write → crash → failover gap → replay.
+detection timeout and failover overhead to the global clock; the run's
+one recorder puts every attempt's spans on that clock, so one Chrome
+trace shows write → crash → failover gap → replay.
 
 Determinism: every injection draw comes from a per-entity stream keyed
 only by the world seed, the re-election is a pure function of the
@@ -32,10 +32,10 @@ import numpy as np
 from repro.collio.api import RunPipeline
 from repro.collio.view import FileView
 from repro.errors import ConfigurationError, RankCrashError, RecoveryExhaustedError
-from repro.obs.span import Span
 from repro.recovery.journal import CycleJournal
 from repro.recovery.report import RecoveryReport
 from repro.recovery.spec import RecoverySpec
+from repro.sim.trace import Span
 
 __all__ = ["run_with_recovery", "subtract_intervals"]
 
@@ -180,7 +180,7 @@ def _recovery_loop(run: RunPipeline, rspec: RecoverySpec) -> RecoveryReport:
             "error": type(failure).__name__, **detail,
         })
         if spec.trace:
-            run.spans.append(Span(
+            run.recorder.spans.append(Span(
                 name="failover", category="recovery", rank=-1,
                 t0=now, t1=now + failover, flow="async",
                 attrs={"attempt": attempt, **detail},
@@ -196,12 +196,12 @@ def _recovery_loop(run: RunPipeline, rspec: RecoverySpec) -> RecoveryReport:
     report.down_targets = sorted(down)
     report.journal_commits = journal.commits
     report.completed = True
-    run.metrics.merge_counters({
+    run.fold({
         "recovery.attempts": attempt,
         "recovery.rank_crashes": len(crashed),
         "recovery.ost_outages": len(down),
         "recovery.replayed_bytes": report.replayed_bytes,
         "recovery.torn_cycles": report.torn_cycles,
     })
-    run.metrics.gauge("recovery.failover_time").set(report.failover_time)
+    run.recorder.set_gauge("recovery.failover_time", report.failover_time)
     return report

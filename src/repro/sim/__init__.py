@@ -13,7 +13,7 @@ from repro.sim.engine import Engine, Event, Process, Timeout
 from repro.sim.primitives import AllOf, AnyOf, all_of, any_of
 from repro.sim.resources import FifoResource, ServerQueue, Store
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
+from repro.sim.trace import Recorder, Span
 
 __all__ = [
     "Engine",
@@ -28,5 +28,6 @@ __all__ = [
     "ServerQueue",
     "Store",
     "RngStreams",
-    "Tracer",
+    "Recorder",
+    "Span",
 ]

@@ -18,7 +18,7 @@ Three classes, one per responsibility:
 
 :class:`StagingTier`
     The world-level facade: lazily creates one scheduler per node and
-    aggregates their counters for the run's metrics registry.
+    aggregates their counters for the run's recorder.
 
 Durability contract: an extent is *absorbed* when the staging device
 holds its bytes (the write call returns) and *durable* only when its
@@ -109,12 +109,12 @@ class BurstBuffer:
         #: Absorbed extents not yet picked up by the drain process.
         self.pending: deque[_StagedExtent] = deque()
         self.flushing = False
-        # Counters (aggregated into ``staging.*`` run metrics).
+        # Counters (aggregated into ``staging.*`` run metrics; stalls are
+        # the recorder's ``staging.stall`` count).
         self.absorbed_bytes = 0
         self.drained_bytes = 0
         self.extents_absorbed = 0
         self.extents_drained = 0
-        self.stalls = 0
         self.forced_drains = 0
         self.drain_retries = 0
         self._space_waiters: list[Event] = []
@@ -150,7 +150,7 @@ class DrainScheduler:
         self.spec = tier.spec
         self.engine = tier.engine
         self.pfs = tier.pfs
-        self.tracer = tier.tracer
+        self.recorder = tier.recorder
         self.buffer = BurstBuffer(tier.engine, tier.spec, node)
         #: True while the policy wants the drain link busy.
         self._active = self.spec.policy == "immediate"
@@ -209,22 +209,18 @@ class DrainScheduler:
         while bb.free_bytes < ext.nbytes:
             if not stalled:
                 stalled = True
-                bb.stalls += 1
-                self.tracer.emit(
-                    self.engine.now, "staging.stall",
-                    node=self.node, rank=ext.rank, bytes=ext.nbytes,
-                )
+                self.recorder.inc("staging.stall")
             self._force_drain()
             yield bb.wait_for_space()
         bb.reserve(ext.nbytes)
         span = None
-        if self.tracer.active:
-            span = self.tracer.begin(
+        if self.recorder.active:
+            span = self.recorder.begin(
                 self.engine.now, "absorb", "staging", rank=staging_rank(self.node),
                 cycle=ext.cycle, flow="async", bytes=ext.nbytes, src_rank=ext.rank,
             )
         yield bb.absorb_queue.submit(ext.nbytes)
-        self.tracer.end(span, self.engine.now)
+        self.recorder.end(span, self.engine.now)
         if ext.data is not None:
             # The device holds the bytes now; snapshot them so the caller
             # may reuse its buffer (the PFS samples at drain completion).
@@ -267,15 +263,15 @@ class DrainScheduler:
                 ext = bb.pending.popleft()
                 yield from self._verify_staged(ext)
                 span = None
-                if self.tracer.active:
-                    span = self.tracer.begin(
+                if self.recorder.active:
+                    span = self.recorder.begin(
                         self.engine.now, "drain", "staging",
                         rank=staging_rank(self.node), cycle=ext.cycle, flow="async",
                         bytes=ext.nbytes, src_rank=ext.rank,
                     )
                 yield bb.drain_link.submit(ext.nbytes)
                 yield from self._write_durable(ext)
-                self.tracer.end(span, self.engine.now)
+                self.recorder.end(span, self.engine.now)
                 bb.drained_bytes += ext.nbytes
                 bb.extents_drained += 1
                 if ext.on_drained is not None:
@@ -316,10 +312,7 @@ class DrainScheduler:
         attempt = 0
         integrity.checksum_computed += 1
         while extent_checksum(ext.data[: ext.nbytes]) != ext.checksum:
-            integrity.note(
-                "detected", stage="staging", node=self.node,
-                rank=ext.rank, offset=ext.offset, attempt=attempt,
-            )
+            integrity.note("detected")
             source = (
                 integrity.repair_source(ext.file.path, ext.offset, ext.nbytes)
                 if integrity.repairs
@@ -330,17 +323,14 @@ class DrainScheduler:
                     f"staged extent at offset {ext.offset} ({ext.nbytes} bytes) "
                     f"on node {self.node} failed checksum verification"
                 )
-            integrity.note("refetch", stage="staging", node=self.node, rank=ext.rank)
+            integrity.note("refetch")
             ext.data = np.array(source, dtype=np.uint8, copy=True)
             yield self.buffer.absorb_queue.submit(ext.nbytes)
             attempt += 1
             bitrot()
             integrity.checksum_computed += 1
         if attempt:
-            integrity.note(
-                "repaired", stage="staging", node=self.node,
-                rank=ext.rank, attempts=attempt,
-            )
+            integrity.note("repaired")
 
     def _write_durable(self, ext: _StagedExtent):
         """One extent's PFS write, retrying transient faults and outages."""
@@ -403,7 +393,7 @@ class StagingTier:
         self.spec = spec
         self.engine = world.engine
         self.pfs: "ParallelFileSystem" = world.pfs
-        self.tracer = world.cluster.tracer
+        self.recorder = world.cluster.recorder
         self._nodes: dict[int, DrainScheduler] = {}
 
     @classmethod
@@ -452,7 +442,6 @@ class StagingTier:
             "staging.drained_bytes": 0,
             "staging.extents_absorbed": 0,
             "staging.extents_drained": 0,
-            "staging.stalls": 0,
             "staging.forced_drains": 0,
             "staging.drain_retries": 0,
         }
@@ -461,7 +450,6 @@ class StagingTier:
             totals["staging.drained_bytes"] += bb.drained_bytes
             totals["staging.extents_absorbed"] += bb.extents_absorbed
             totals["staging.extents_drained"] += bb.extents_drained
-            totals["staging.stalls"] += bb.stalls
             totals["staging.forced_drains"] += bb.forced_drains
             totals["staging.drain_retries"] += bb.drain_retries
         return totals

@@ -24,7 +24,7 @@ from repro.config import DEFAULT_SCALE, DEFAULT_SEED
 from repro.fs.presets import FsSpec
 from repro.hardware.cluster import Cluster, ClusterSpec
 from repro.sim.engine import Engine
-from repro.sim.trace import Tracer
+from repro.sim.trace import Recorder
 from repro.tune.cache import MemoryCache, ResultCache, stable_key
 from repro.tune.evaluate import Evaluator
 from repro.tune.search import TuningResult, grid_search, successive_halving
@@ -47,7 +47,7 @@ def autotune(
     n_workers: int = 1,
     cache_dir: str | None = None,
     base_seed: int = DEFAULT_SEED,
-    tracer: Tracer | None = None,
+    recorder: Recorder | None = None,
 ) -> TuningResult:
     """Search for the best collective-write configuration of a scenario.
 
@@ -61,7 +61,7 @@ def autotune(
     )
     space = space if space is not None else default_space()
     cache = ResultCache(cache_dir) if cache_dir else MemoryCache()
-    evaluator = Evaluator(n_workers=n_workers, cache=cache, tracer=tracer)
+    evaluator = Evaluator(n_workers=n_workers, cache=cache, recorder=recorder)
     if search == "grid":
         return grid_search(scenario, space, evaluator, reps=reps, base_seed=base_seed)
     if search == "halving":

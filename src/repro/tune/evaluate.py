@@ -14,7 +14,7 @@ their :class:`TrialSpec`, which makes three things possible:
   re-simulated, within a run or across runs.
 * **Observability.**  The evaluator bumps ``tune.trial``,
   ``tune.cache_hit`` and ``tune.sim_run`` counters on its
-  :class:`~repro.sim.trace.Tracer` so searches can assert, e.g., that a
+  :class:`~repro.sim.trace.Recorder` so searches can assert, e.g., that a
   warm rerun performed zero simulations.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from repro.bench.parallel import content_seed, parallel_map
 from repro.collio.api import RunSpec, run_collective_write
 from repro.config import DEFAULT_SEED
-from repro.sim.trace import Tracer
+from repro.sim.trace import Recorder
 from repro.tune.cache import MemoryCache, stable_key
 from repro.tune.space import Candidate, ScenarioSpec
 
@@ -155,12 +155,12 @@ class Evaluator:
     also the fallback the tests compare parallel runs against.
     """
 
-    def __init__(self, n_workers: int = 1, cache=None, tracer: Tracer | None = None) -> None:
+    def __init__(self, n_workers: int = 1, cache=None, recorder: Recorder | None = None) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
         self.cache = cache if cache is not None else MemoryCache()
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.recorder = recorder if recorder is not None else Recorder()
 
     def evaluate(self, trials: list[TrialSpec]) -> list[TrialResult]:
         """Results for ``trials``, in input order.
@@ -171,11 +171,11 @@ class Evaluator:
         results: list[TrialResult | None] = [None] * len(trials)
         misses: list[tuple[int, TrialSpec, str]] = []
         for i, trial in enumerate(trials):
-            self.tracer.emit(0.0, "tune.trial")
+            self.recorder.inc("tune.trial")
             key = trial_key(trial)
             cached = self.cache.get(key)
             if cached is not None:
-                self.tracer.emit(0.0, "tune.cache_hit")
+                self.recorder.inc("tune.cache_hit")
                 results[i] = TrialResult.from_dict(cached)
             else:
                 misses.append((i, trial, key))
@@ -184,7 +184,7 @@ class Evaluator:
             specs = [t for _, t, _ in misses]
             outcomes = parallel_map(run_trial, specs, jobs=self.n_workers)
             for (i, _, key), outcome in zip(misses, outcomes):
-                self.tracer.emit(0.0, "tune.sim_run")
+                self.recorder.inc("tune.sim_run")
                 self.cache.put(key, outcome.to_dict())
                 results[i] = outcome
         return results  # type: ignore[return-value]

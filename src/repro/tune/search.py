@@ -19,7 +19,7 @@ Two strategies, sharing the evaluator (and therefore the cache):
     the one grid search would have measured, and the screening trials
     are reused from the cache rather than re-run.
 
-Pruning decisions are observable through the evaluator tracer's
+Pruning decisions are observable through the evaluator recorder's
 ``tune.screened`` / ``tune.promoted`` / ``tune.pruned`` counters.
 """
 
@@ -190,7 +190,7 @@ def grid_search(
         reps=reps,
         base_seed=base_seed,
         ranked=ranked,
-        counters=dict(evaluator.tracer.counters),
+        counters=dict(evaluator.recorder.counters),
     )
 
 
@@ -211,13 +211,13 @@ def successive_halving(
     if eta < 2:
         raise ValueError(f"eta must be >= 2, got {eta}")
     candidates = space.candidates()
-    tracer = evaluator.tracer
+    recorder = evaluator.recorder
 
     # Round 1: screen everything at few reps.
     screened = _measure(scenario, candidates, range(screen_reps), evaluator, base_seed)
     screen_results = _ranked([_result(c, screened[c], "screened") for c in candidates])
     for _ in screen_results:
-        tracer.emit(0.0, "tune.screened")
+        recorder.inc("tune.screened")
 
     if screen_reps == reps:
         survivors = list(screen_results)
@@ -236,9 +236,9 @@ def successive_halving(
                 dropped.append(res)
 
     for _ in survivors:
-        tracer.emit(0.0, "tune.promoted")
+        recorder.inc("tune.promoted")
     for _ in dropped:
-        tracer.emit(0.0, "tune.pruned")
+        recorder.inc("tune.pruned")
 
     # Round 2: complete the survivors' series.  Repetition indices extend
     # the screening range, so the trials already simulated (or cached)
@@ -254,5 +254,5 @@ def successive_halving(
         base_seed=base_seed,
         ranked=ranked,
         pruned=dropped,
-        counters=dict(tracer.counters),
+        counters=dict(recorder.counters),
     )

@@ -10,6 +10,7 @@ from repro.collio.view import FileView
 from repro.errors import ConfigurationError
 from repro.faults import FAULT_PRESETS, FaultSpec, RetryPolicy, fault_preset
 from repro.mpi import World
+from repro.sim.trace import Recorder
 
 from tests.faults.conftest import small_cluster, small_fs
 
@@ -112,14 +113,14 @@ class TestInjectorDraws:
         world = self._injector(FaultSpec(write_fail_rate=1.0))
         victim = world.faults.storage_write_victim([1, 3])
         assert victim in (1, 3)
-        assert world.cluster.tracer.count("fault.write_fail") == 1
+        assert world.cluster.recorder.count("fault.write_fail") == 1
         world2 = self._injector(FaultSpec(straggler_rate=1.0))
         assert world2.faults.storage_write_victim([0]) is None
 
     def test_straggler_factor(self):
         world = self._injector(FaultSpec(straggler_rate=1.0, straggler_factor=7.0))
         assert world.faults.storage_service_factor(0) == 7.0
-        assert world.cluster.tracer.count("fault.straggler") == 1
+        assert world.cluster.recorder.count("fault.straggler") == 1
         world2 = self._injector(FaultSpec(write_fail_rate=1.0))
         assert world2.faults.storage_service_factor(0) == 1.0
 
@@ -186,8 +187,8 @@ class TestSeedDeterminism:
     )
 
     def _run(self, seed):
-        world = World(small_cluster(), 4, fs_spec=small_fs(), seed=seed, faults=self.SPEC)
-        world.cluster.tracer.enabled = True
+        world = World(small_cluster(), 4, fs_spec=small_fs(), seed=seed, faults=self.SPEC,
+                      recorder=Recorder(active=True))
         cfg = CollectiveConfig(
             cb_buffer_size=16 * 1024, retry=RetryPolicy(max_retries=12)
         )
@@ -199,29 +200,26 @@ class TestSeedDeterminism:
             yield from fh.write_all(data, algorithm="write_overlap", config=cfg)
 
         world.run(program)
-        tracer = world.cluster.tracer
-        schedule = [
-            r for r in tracer.records
-            if r.category.startswith(("fault.", "retry."))
-        ]
-        counters = {
-            k: v for k, v in tracer.counters.items() if k.startswith("fault.")
-        }
+        recorder = world.cluster.recorder
+        retries = [s for s in recorder.spans if s.category == "retry" and s.closed]
         contents = world.pfs.open("/det").contents().copy()
-        return schedule, counters, contents
+        return retries, dict(recorder.counters), world.now, contents
 
     def test_same_seed_same_schedule(self):
-        """Same FaultSpec + seed -> identical trace records and counters."""
-        s1, c1, f1 = self._run(seed=7)
-        s2, c2, f2 = self._run(seed=7)
-        assert len(s1) > 0  # the spec is hot enough to actually fire
-        assert s1 == s2
+        """Same FaultSpec + seed -> identical retry spans, counters, clock and bytes."""
+        r1, c1, t1, f1 = self._run(seed=7)
+        r2, c2, t2, f2 = self._run(seed=7)
+        # The spec is hot enough to actually fire and be retried.
+        assert any(k.startswith("fault.") for k in c1) and c1["retry.attempt"] > 0
+        assert len(r1) > 0
+        assert r1 == r2
         assert c1 == c2
+        assert t1 == t2
         assert np.array_equal(f1, f2)
 
     def test_different_seed_different_schedule(self):
-        s1, c1, f1 = self._run(seed=7)
-        s2, c2, f2 = self._run(seed=8)
-        assert s1 != s2
+        r1, c1, t1, f1 = self._run(seed=7)
+        r2, c2, t2, f2 = self._run(seed=8)
+        assert (r1, c1, t1) != (r2, c2, t2)
         # Both runs still converge to the same bytes.
         assert np.array_equal(f1, f2)

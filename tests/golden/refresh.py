@@ -9,7 +9,8 @@ Review the diff before committing.  Every changed fingerprint hash is a
 behavioural change of the simulator that same-seed reproducibility no
 longer covers.  ``timing.json`` may only change in a PR that changes the
 cost model on purpose; a PR that makes the simulator itself faster must
-leave it diff-free.
+leave it diff-free.  Its ``telemetry/...`` entries may only change in a
+PR that changes what the recorder reports on purpose.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ _REPO_ROOT = os.path.dirname(
 )
 sys.path.insert(0, _REPO_ROOT)
 
+from repro.collio.api import run_collective_write  # noqa: E402
 from tests.golden.scenario import (  # noqa: E402
-    case_key, fingerprint, golden_cases, read_timing, read_timing_cases, timing,
-    timing_specs,
+    TELEMETRY, case_key, fingerprint, golden_cases, read_back, read_timing,
+    read_timing_cases, telemetry, telemetry_specs, timing, timing_specs,
+    tuner_counters,
 )
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -43,11 +46,18 @@ def main(argv: list[str]) -> int:
     if argv == ["--timing"]:
         records = {}
         for key, spec in timing_specs().items():
-            records[key] = timing(spec)
+            result = run_collective_write(spec)
+            records[key] = timing(result)
+            records[TELEMETRY + key] = telemetry(result)
             print(f"  {key}: {records[key]['elapsed_hex']}", file=sys.stderr)
         for key, kwargs in read_timing_cases().items():
-            records[key] = read_timing(**kwargs)
+            result = read_back(**kwargs)
+            records[key] = read_timing(result)
+            records[TELEMETRY + key] = telemetry(result)
             print(f"  {key}: {records[key]['elapsed_hex']}", file=sys.stderr)
+        for key, spec in telemetry_specs().items():
+            records[key] = telemetry(run_collective_write(spec))
+        records.update(tuner_counters())
         _write("timing.json", records)
         return 0
     if argv:

@@ -30,6 +30,13 @@ The same file pins collective *reads* of the scenario under its
 ``read/...`` keys (:func:`read_timing`): elapsed, cycle count and the
 max-over-ranks ``read`` / ``scatter`` / ``total`` phase times.
 
+Its ``telemetry/...`` keys pin what the run recorder reports
+(:func:`telemetry`): one sha256 over ``result.metrics``,
+``result.trace_counters``, ``result.integrity`` and the spans as CSV,
+for every timed write and read, two traced fault runs
+(:func:`telemetry_specs`) and the tuner's cold/warm counters
+(:func:`tuner_counters`).
+
 Cases are ``(algorithm, shuffle, two_layer, staging_policy)`` tuples;
 ``staging_policy`` is ``None`` (direct writes — the original 30 cases,
 whose keys and fingerprints are unchanged) or a drain-policy name that
@@ -39,6 +46,8 @@ routes the aggregators' writes through the burst-buffer tier.
 from __future__ import annotations
 
 import hashlib
+import json
+import tempfile
 from dataclasses import replace
 
 from repro.collio.api import RunSpec, run_collective_write
@@ -46,11 +55,13 @@ from repro.collio.config import CollectiveConfig
 from repro.collio.overlap import ALGORITHMS
 from repro.collio.read import READ_ALGORITHMS, SCATTER_PRIMITIVES, run_collective_read
 from repro.collio.shuffle import SHUFFLE_PRIMITIVES
-from repro.faults import FaultSpec
+from repro.faults import FaultSpec, RetryPolicy, fault_preset
 from repro.fs.presets import beegfs_crill
 from repro.hardware.presets import crill
-from repro.obs import chrome_trace_json
+from repro.integrity import IntegritySpec
+from repro.obs import chrome_trace_json, spans_csv
 from repro.staging import DRAIN_POLICIES, StagingSpec
+from repro.tune import autotune
 from repro.units import MS
 from repro.workloads import make_workload
 
@@ -59,6 +70,9 @@ from repro.workloads import make_workload
 NPROCS = 8
 CORES_PER_NODE = 4
 WORKLOAD_KWARGS = {"block_size": 4096, "segment_count": 8}
+
+#: Key prefix of the telemetry fixed points in ``timing.json``.
+TELEMETRY = "telemetry/"
 
 
 def golden_cases() -> list[tuple[str, str, bool, str | None]]:
@@ -145,13 +159,77 @@ def timing_specs() -> dict[str, RunSpec]:
     return specs
 
 
-def timing(spec: RunSpec) -> dict:
-    """Run ``spec`` once; its simulated clock and timeline, bit for bit."""
-    result = run_collective_write(spec)
+def timing(result) -> dict:
+    """A finished write's simulated clock and timeline, bit for bit."""
     trace = chrome_trace_json(result.spans)
     return {
         "elapsed_hex": result.elapsed.hex(),
         "trace_sha256": hashlib.sha256(trace.encode()).hexdigest(),
+    }
+
+
+def _digest(obj) -> dict:
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return {"telemetry_sha256": hashlib.sha256(blob.encode()).hexdigest()}
+
+
+def telemetry(result) -> dict:
+    """What a finished run's recorder reported, as one sha256."""
+    return _digest([
+        result.metrics, result.trace_counters, result.integrity, spans_csv(result.spans),
+    ])
+
+
+def telemetry_specs() -> dict[str, RunSpec]:
+    """Traced runs only the telemetry fixed point pins: a degraded-cluster
+    run that crashes twice and recovers (three attempts at this seed), the
+    same faults plus bit-rot under integrity repair (two attempts, both
+    repairing), and a bit-rot run through every write-path layer
+    (two-layer gather, watermark staging, integrity repair with scrub and
+    read-back, retry); small cycles make the faults fire."""
+    degraded, bitrot = fault_preset("degraded_cluster"), fault_preset("bitrot_cluster")
+    return {
+        TELEMETRY + "degraded_cluster/write_overlap": golden_spec(
+            "write_overlap", "two_sided", False
+        ).replace(seed=28, faults=degraded, retry=RetryPolicy()),
+        TELEMETRY + "degraded_cluster/bitrot_repair": golden_spec(
+            "write_comm2", "two_sided", False
+        ).replace(
+            seed=4, retry=RetryPolicy(),
+            faults=degraded.with_(
+                message_corrupt_rate=bitrot.message_corrupt_rate,
+                storage_corrupt_rate=bitrot.storage_corrupt_rate,
+                torn_write_rate=bitrot.torn_write_rate,
+            ),
+            config=CollectiveConfig(
+                cb_buffer_size=16 * 1024, integrity=IntegritySpec(mode="repair")
+            ),
+        ),
+        TELEMETRY + "bitrot_cluster/laden": golden_spec(
+            "write_comm2", "two_sided", True
+        ).replace(
+            seed=1, faults=bitrot, retry=RetryPolicy(),
+            staging=StagingSpec(policy="watermark"),
+            config=CollectiveConfig(
+                cb_buffer_size=16 * 1024,
+                integrity=IntegritySpec(mode="repair", scrub=True, readback=True),
+            ),
+        ),
+    }
+
+
+def tuner_counters() -> dict[str, dict]:
+    """The benchmark campaign's tuner call, cold then warm on one cache:
+    each run's ``TuningResult.counters`` under its telemetry key."""
+    with tempfile.TemporaryDirectory() as cache_dir:
+        cold, warm = (
+            autotune("ior", "crill", nprocs=4, scale=1024, search="halving", reps=2,
+                     cache_dir=cache_dir, base_seed=2020)
+            for _ in range(2)
+        )
+    return {
+        TELEMETRY + "tune/cold": _digest(cold.counters),
+        TELEMETRY + "tune/warm": _digest(warm.counters),
     }
 
 
@@ -169,14 +247,18 @@ def read_timing_cases() -> dict[str, dict]:
     return cases
 
 
-def read_timing(**kwargs) -> dict:
+def read_back(**kwargs):
     """Read the pinned scenario back once, in several cycles (the 256 KiB
-    file through a 32 KiB collective buffer); its clocks, bit for bit."""
+    file through a 32 KiB collective buffer)."""
     spec = golden_spec("no_overlap", "two_sided", False)
-    result = run_collective_read(
+    return run_collective_read(
         spec.cluster, spec.fs, NPROCS, spec.views,
         config=CollectiveConfig(cb_buffer_size=32 * 1024), **kwargs,
     )
+
+
+def read_timing(result) -> dict:
+    """A finished read's clocks, bit for bit."""
     record = {"elapsed_hex": result.elapsed.hex(), "num_cycles": result.num_cycles}
     for phase in ("read", "scatter", "total"):
         record[f"{phase}_hex"] = max(

@@ -12,6 +12,11 @@ it on purpose with ``PYTHONPATH=src python tests/golden/refresh.py
 The ``read/...`` entries pin collective reads the same way (elapsed,
 cycle count and per-phase maxima; captured before reads moved onto the
 write pipeline, so they are also that refactor's fixed point).
+
+The ``telemetry/...`` entries pin what the run recorder reports — metrics,
+trace counters, integrity snapshot and spans — for the same runs, two
+traced fault runs and the tuner's cold/warm counters (captured before
+the three metric stores became one recorder).
 """
 
 import json
@@ -19,13 +24,17 @@ import os
 
 import pytest
 
+from repro.collio.api import run_collective_write
 from tests.golden.scenario import (
-    read_timing, read_timing_cases, timing, timing_specs,
+    TELEMETRY, read_back, read_timing, read_timing_cases, telemetry,
+    telemetry_specs, timing, timing_specs, tuner_counters,
 )
 
 _TIMING = os.path.join(os.path.dirname(__file__), "timing.json")
 _SPECS = timing_specs()
 _READ_CASES = read_timing_cases()
+_TELEMETRY_SPECS = telemetry_specs()
+_TUNER_KEYS = {TELEMETRY + "tune/cold", TELEMETRY + "tune/warm"}
 
 
 def _load() -> dict:
@@ -34,21 +43,39 @@ def _load() -> dict:
 
 
 def test_timing_file_covers_all_cases():
-    assert set(_load()) == set(_SPECS) | set(_READ_CASES)
+    timed = set(_SPECS) | set(_READ_CASES)
+    assert set(_load()) == (
+        timed | {TELEMETRY + key for key in timed} | set(_TELEMETRY_SPECS) | _TUNER_KEYS
+    )
     assert len(_SPECS) == 47
     assert len(_READ_CASES) == 7
 
 
 @pytest.mark.parametrize("key", list(_SPECS))
 def test_same_seed_timing(key):
-    assert timing(_SPECS[key]) == _load()[key], (
+    result = run_collective_write(_SPECS[key])
+    golden = _load()
+    assert timing(result) == golden[key], (
         f"simulated timing drifted for {key}; if the cost model changed "
         "on purpose: PYTHONPATH=src python tests/golden/refresh.py --timing"
     )
+    assert telemetry(result) == golden[TELEMETRY + key], f"telemetry drifted for {key}"
 
 
 @pytest.mark.parametrize("key", list(_READ_CASES))
 def test_same_seed_read_timing(key):
-    assert read_timing(**_READ_CASES[key]) == _load()[key], (
-        f"simulated read timing drifted for {key}"
-    )
+    result = read_back(**_READ_CASES[key])
+    golden = _load()
+    assert read_timing(result) == golden[key], f"simulated read timing drifted for {key}"
+    assert telemetry(result) == golden[TELEMETRY + key], f"telemetry drifted for {key}"
+
+
+@pytest.mark.parametrize("key", list(_TELEMETRY_SPECS))
+def test_same_seed_telemetry(key):
+    result = run_collective_write(_TELEMETRY_SPECS[key])
+    assert telemetry(result) == _load()[key], f"telemetry drifted for {key}"
+
+
+def test_same_seed_tuner_counters():
+    golden = _load()
+    assert tuner_counters() == {key: golden[key] for key in _TUNER_KEYS}

@@ -56,9 +56,8 @@ class TestBasicTransfer:
                 yield from mpi.recv(0, tag=2, size=EAGER)
 
         world, _ = run2(program)
-        rt = world.runtime(0)
-        assert rt.eager_sent == 1
-        assert rt.rendezvous_sent == 1
+        assert world.cluster.recorder.count("send.eager") == 1
+        assert world.cluster.recorder.count("send.rendezvous") == 1
 
     def test_size_only_messages(self):
         """Messages can be size-only (no payload) for pure timing studies."""

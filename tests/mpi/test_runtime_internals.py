@@ -1,4 +1,4 @@
-"""White-box tests of the MPI runtime: queues, counters, tracing."""
+"""White-box tests of the MPI runtime: queues and counters."""
 
 import numpy as np
 import pytest
@@ -62,9 +62,8 @@ class TestCounters:
 
         world = make_world(nprocs=2)
         world.run(program)
-        rt = world.runtime(0)
-        assert rt.eager_sent == 3
-        assert rt.rendezvous_sent == 1
+        assert world.cluster.recorder.count("send.eager") == 3
+        assert world.cluster.recorder.count("send.rendezvous") == 1
 
     def test_progress_deferral_counted(self):
         def program(mpi):
@@ -77,7 +76,7 @@ class TestCounters:
 
         world = make_world(nprocs=2)
         world.run(program)
-        assert world.runtime(1).progress_deferrals >= 1
+        assert world.cluster.recorder.count("progress.deferred") >= 1
 
 
 class TestTracing:
@@ -93,13 +92,13 @@ class TestTracing:
 
         world = make_world(nprocs=2)
         world.run(program)
-        tracer = world.cluster.tracer
-        assert tracer.count("send.eager") == 1
-        assert tracer.count("send.rendezvous") == 1
-        assert tracer.count("recv.unexpected") == 1  # the eager landed early
-        assert tracer.records == []  # full records need enabled=True
+        recorder = world.cluster.recorder
+        assert recorder.count("send.eager") == 1
+        assert recorder.count("send.rendezvous") == 1
+        assert recorder.count("recv.unexpected") == 1  # the eager landed early
+        assert not recorder.spans  # spans need an active recorder
 
-    def test_full_records_when_enabled(self):
+    def test_tracer_clear(self):
         def program(mpi):
             if mpi.rank == 0:
                 yield from mpi.send(1, tag=1, size=100)
@@ -107,17 +106,10 @@ class TestTracing:
                 yield from mpi.recv(0, tag=1, size=100)
 
         world = make_world(nprocs=2)
-        world.cluster.tracer.enabled = True
+        world.cluster.recorder.active = True
         world.run(program)
-        records = world.cluster.tracer.of_category("send.eager")
-        assert len(records) == 1
-        assert records[0].detail["dst"] == 1 and records[0].detail["size"] == 100
-
-    def test_tracer_clear(self):
-        from repro.sim import Tracer
-
-        t = Tracer(enabled=True)
-        t.emit(1.0, "x", a=1)
-        assert t.count("x") == 1
-        t.clear()
-        assert t.count("x") == 0 and t.records == []
+        recorder = world.cluster.recorder
+        assert recorder.count("send.eager") == 1
+        recorder.clear()
+        assert recorder.count("send.eager") == 0
+        assert not recorder.counters and not recorder.spans

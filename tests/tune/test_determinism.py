@@ -8,7 +8,7 @@ The two properties the ISSUE pins down:
   simulations, asserted via the ``tune.*`` counters.
 """
 
-from repro.sim.trace import Tracer
+from repro.sim.trace import Recorder
 from repro.tune import autotune
 from tests.tune.conftest import SCENARIO_KW
 
@@ -24,14 +24,14 @@ def test_parallel_serial_byte_identical_json():
 
 def test_second_run_is_all_cache_hits_with_zero_simulations(tmp_path):
     cache_dir = str(tmp_path / "cache")
-    cold = Tracer()
-    first = autotune(n_workers=2, cache_dir=cache_dir, tracer=cold, **TUNE_KW)
+    cold = Recorder()
+    first = autotune(n_workers=2, cache_dir=cache_dir, recorder=cold, **TUNE_KW)
     assert cold.count("tune.sim_run") > 0
     assert cold.count("tune.trial") == \
         cold.count("tune.sim_run") + cold.count("tune.cache_hit")
 
-    warm = Tracer()
-    second = autotune(n_workers=2, cache_dir=cache_dir, tracer=warm, **TUNE_KW)
+    warm = Recorder()
+    second = autotune(n_workers=2, cache_dir=cache_dir, recorder=warm, **TUNE_KW)
     assert warm.count("tune.sim_run") == 0
     assert warm.count("tune.cache_hit") == warm.count("tune.trial") > 0
     assert second.to_json() == first.to_json()
@@ -44,11 +44,11 @@ def test_grid_reuses_halvings_cached_trials(tmp_path):
     the candidates halving pruned before their full repetitions."""
     cache_dir = str(tmp_path / "cache")
     autotune(cache_dir=cache_dir, **TUNE_KW)
-    tracer = Tracer()
+    recorder = Recorder()
     grid_kw = dict(TUNE_KW, search="grid")
     grid_kw.pop("screen_reps")
-    result = autotune(cache_dir=cache_dir, tracer=tracer, **grid_kw)
-    total = tracer.count("tune.trial")
-    assert tracer.count("tune.sim_run") < total  # promoted candidates were free
-    assert tracer.count("tune.cache_hit") > 0
+    result = autotune(cache_dir=cache_dir, recorder=recorder, **grid_kw)
+    total = recorder.count("tune.trial")
+    assert recorder.count("tune.sim_run") < total  # promoted candidates were free
+    assert recorder.count("tune.cache_hit") > 0
     assert len(result.ranked) == result.total_candidates
