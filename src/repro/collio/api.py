@@ -55,6 +55,7 @@ from repro.faults.spec import FaultSpec
 from repro.fs.presets import FsSpec
 from repro.hardware.cluster import ClusterSpec
 from repro.mpi.world import World
+from repro.payload import Sized
 from repro.sim.trace import Recorder
 from repro.specbase import SpecBase
 
@@ -356,7 +357,8 @@ def collective_write(
     yield from algo.run(ctx, engine)
     if writing:
         yield from ctx.staging_flush()
-        yield from ctx.integrity_scrub()
+        if ctx.carry is not None:
+            yield from ctx.carry.scrub()
     ctx.stats.add_time("total", mpi.now - t0)
     yield from mpi.barrier()
     ctx.recorder.end(algo_span, mpi.now)
@@ -612,10 +614,8 @@ class RunPipeline:
             )
         if self.plan is None:
             self.plan = plan
-            self.payloads = {
-                r: spec.data_factory(r, spec.views[r].total_bytes) if spec.carry_data else None
-                for r in range(spec.nprocs)
-            }
+            make = spec.data_factory if spec.carry_data else (lambda _rank, n: Sized(n))
+            self.payloads = {r: make(r, spec.views[r].total_bytes) for r in range(spec.nprocs)}
         self.buffers = self._prefill() if reading else self.payloads
         span = None
         if number:

@@ -22,8 +22,9 @@ import numpy as np
 from repro.collio.config import CollectiveConfig
 from repro.collio.plan import TwoPhasePlan
 from repro.collio.view import FileView
-from repro.errors import ConfigurationError, CorruptDataError
-from repro.integrity.checksum import ChecksumLedger, crc32_concat, extent_checksum
+from repro.errors import ConfigurationError
+from repro.integrity.carry import ChecksumCarry
+from repro.payload import crc, empty, zeros
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Communicator
@@ -87,7 +88,8 @@ class AlgoContext:
     """One rank's working state during a collective write or read.
 
     ``data`` is the rank's own buffer under its view: the source of a
-    write, the destination of a read (None in size-only mode).
+    write, the destination of a read (a :class:`~repro.payload.Sized`
+    descriptor in size-only mode, which every buffer here then follows).
     """
 
     def __init__(
@@ -96,22 +98,21 @@ class AlgoContext:
         fh: "MPIFile",
         plan: TwoPhasePlan,
         view: FileView,
-        data: np.ndarray,
+        data,
         config: CollectiveConfig,
         nsub: int,
     ) -> None:
         if nsub not in (1, 2):
             raise ConfigurationError(f"nsub must be 1 or 2, got {nsub}")
-        if data is not None:
-            if data.dtype != np.uint8:
-                raise ConfigurationError("local data must be uint8")
-            # Replay views (recovery) keep original local offsets into the
-            # full rank buffer, so require coverage rather than equality.
-            if data.size < view.required_buffer_bytes:
-                raise ConfigurationError(
-                    f"local data has {data.size} bytes but the view needs "
-                    f"{view.required_buffer_bytes}"
-                )
+        if data.dtype != np.uint8:
+            raise ConfigurationError("local data must be uint8")
+        # Replay views (recovery) keep original local offsets into the
+        # full rank buffer, so require coverage rather than equality.
+        if data.size < view.required_buffer_bytes:
+            raise ConfigurationError(
+                f"local data has {data.size} bytes but the view needs "
+                f"{view.required_buffer_bytes}"
+            )
         self.mpi = mpi
         self.fh = fh
         self.plan = plan
@@ -144,11 +145,12 @@ class AlgoContext:
             if tier is not None and self.is_aggregator
             else None
         )
-        #: The world's integrity layer when the run checksums its
-        #: datapath (see repro.integrity), or None: aggregators then
-        #: record every cycle extent's CRC-32 before posting its write
-        #: and carry it through staging and storage.
-        self.integrity = mpi.world.integrity
+        #: Checksum carrying when the world runs an integrity layer (see
+        #: repro.integrity.carry), or None: aggregators then record every
+        #: cycle extent's CRC-32 before posting its write and carry it
+        #: through staging and storage.
+        integrity = mpi.world.integrity
+        self.carry = None if integrity is None else ChecksumCarry(self, integrity)
         if config.retry is not None:
             from repro.faults.retry import ReliableWriter  # local: avoids a cycle
 
@@ -157,34 +159,16 @@ class AlgoContext:
             self.writer = None
         # Plain-array sub-buffers (two-sided shuffle); RMA windows replace
         # them for one-sided shuffles.
-        self._buffers: list[np.ndarray] | None = None
+        self._buffers: list | None = None
         self._windows: list["WindowHandle"] | None = None
         # Two-layer staging: a leader's per-sub-buffer assembly area for
         # its node's coalesced cycle data (see repro.collio.intranode).
-        self._staging: list[np.ndarray] | None = None
-        #: Verified piece CRCs of two-sided deliveries and local copies,
-        #: keyed by absolute file offset; the extent record combines them
-        #: instead of re-checksumming the cycle buffer.  (The one-sided
-        #: equivalent lives on the shared Window, filed at put landing.)
-        self._ledger: ChecksumLedger | None = (
-            ChecksumLedger() if self.integrity is not None else None
-        )
-        #: Per-staging-slot ledgers keyed by staging offset (two-layer
-        #: leaders only): gather files verified member piece CRCs here,
-        #: the forward shuffle combines them for its coalesced sends.
-        #: Slot ``c % nsub``'s ledger is cleared when cycle ``c``'s
-        #: gather refills the slot.
-        self._staging_ledgers: list[ChecksumLedger] | None = None
+        self._staging: list | None = None
 
     # ------------------------------------------------------------------
     @property
     def is_aggregator(self) -> bool:
         return self.agg_index is not None
-
-    @property
-    def carries_data(self) -> bool:
-        """False in size-only timing mode (no payload bytes move)."""
-        return self.data is not None
 
     @property
     def memory_bandwidth(self) -> float:
@@ -200,7 +184,7 @@ class AlgoContext:
         """Plain collective sub-buffers (aggregators only hold real memory)."""
         size = self.plan.cycle_bytes
         if self.is_aggregator:
-            self._buffers = [np.zeros(size, dtype=np.uint8) for _ in range(self.nsub)]
+            self._buffers = [zeros(size, like=self.data) for _ in range(self.nsub)]
         else:
             self._buffers = []
 
@@ -213,7 +197,7 @@ class AlgoContext:
         size = self.plan.cycle_bytes if self.is_aggregator else 0
         windows = []
         for _ in range(self.nsub):
-            win = yield from self.mpi.win_allocate(size)
+            win = yield from self.mpi.win_allocate(size, like=self.data)
             windows.append(win)
         self._windows = windows
 
@@ -229,24 +213,20 @@ class AlgoContext:
         plan = self.plan
         if not isinstance(plan, TwoLayerPlan) or not plan.uses_staging(self.rank):
             return
-        if not self.carries_data:
-            return
         size = plan.staging_bytes(self.rank)
-        self._staging = [np.zeros(size, dtype=np.uint8) for _ in range(self.nsub)]
-        if self.integrity is not None:
-            self._staging_ledgers = [ChecksumLedger() for _ in range(self.nsub)]
+        self._staging = [zeros(size, like=self.data) for _ in range(self.nsub)]
 
-    def staging(self, sub: int) -> np.ndarray:
+    def staging(self, sub: int):
         if self._staging is None:
             raise ConfigurationError("staging not allocated on this rank")
         return self._staging[sub]
 
-    def send_source(self, cycle: int) -> np.ndarray | None:
-        """The array backing this rank's sends in ``cycle``.
+    def send_source(self, cycle: int):
+        """The payload backing this rank's sends in ``cycle``.
 
         The user buffer normally; a leader's staging slot when the plan
         coalesces node-local data (its send assignments' local offsets
-        then index staging).  None in size-only mode.
+        then index staging).
         """
         if self._staging is not None:
             return self._staging[self.sub_of_cycle(cycle)]
@@ -266,7 +246,7 @@ class AlgoContext:
             self.stats.bump("gather_messages")
             self.stats.bump("gather_bytes", nbytes)
 
-    def buffer(self, sub: int) -> np.ndarray:
+    def buffer(self, sub: int):
         """The sub-buffer an aggregator assembles cycle data in."""
         if self._windows is not None:
             return self._windows[sub].local_buffer
@@ -286,106 +266,22 @@ class AlgoContext:
         return self._windows is not None
 
     # ------------------------------------------------------------------
-    # Checksum carrying (producer-side piece CRCs + verified-CRC ledgers)
-    # ------------------------------------------------------------------
-    def piece_checksums_for(self, cycle: int, sa, src: np.ndarray | None):
-        """Per-piece ``(nbytes, crc)`` CRCs of a send assignment + whole CRC.
-
-        This is the *producer* side of checksum carrying: each piece's
-        bytes are checksummed exactly once, from the send source.  When
-        the source is a leader's staging slot whose ledger already holds
-        verified CRCs for the range (coalesced gather data), the piece
-        CRC is combined from them without touching payload bytes.
-        Returns ``(None, None)`` without an integrity layer or in
-        size-only mode.
-        """
-        integrity = self.integrity
-        if integrity is None or src is None:
-            return None, None
-        led = (
-            self._staging_ledgers[self.sub_of_cycle(cycle)]
-            if self._staging_ledgers is not None and self._staging is not None
-            else None
-        )
-        pieces = []
-        for _off, ln, loc in sa.pieces:
-            crc = led.combine(loc, loc + ln) if led is not None else None
-            if crc is None:
-                crc = extent_checksum(src[loc : loc + ln])
-                integrity.checksum_computed += 1
-            else:
-                integrity.checksum_reused += 1
-            pieces.append((int(ln), crc))
-        if len(pieces) == 1:
-            whole = pieces[0][1]
-        else:
-            whole = crc32_concat(pieces)
-            integrity.checksum_reused += 1
-        return tuple(pieces), whole
-
-    def file_cycle_checksums(self, sa, piece_checksums) -> None:
-        """File verified piece CRCs under their absolute file offsets.
-
-        Called by the two-sided unpack (with the CRCs carried in the
-        delivered message) and for local copies (with the CRCs the
-        producer just computed); the extent record pops them back out
-        via :meth:`_carried_extent_crc`.
-        """
-        if self._ledger is None or piece_checksums is None:
-            return
-        for (off, ln, _loc), (_pn, crc) in zip(sa.pieces, piece_checksums):
-            self._ledger.file(off, ln, crc)
-
-    def _carried_extent_crc(self, cycle: int, offset: int, nbytes: int) -> int | None:
-        """CRC of a cycle extent from verified delivery pieces, or None.
-
-        None when the filed pieces do not tile the extent exactly — an
-        interior hole means some written bytes were never delivered this
-        cycle (stale buffer content), so the caller must checksum fresh.
-        """
-        if self._windows is not None:
-            led = self._windows[self.sub_of_cycle(cycle)].window.ledgers.get(self.rank)
-        else:
-            led = self._ledger
-        if led is None:
-            return None
-        return led.combine(offset, offset + nbytes, pop=True)
-
-    def staging_ledger(self, cycle: int) -> ChecksumLedger | None:
-        """The staging slot's verified-CRC ledger for ``cycle``, or None."""
-        if self._staging_ledgers is None:
-            return None
-        return self._staging_ledgers[self.sub_of_cycle(cycle)]
-
-    def staged_piece_crc(self, cycle: int, loc: int, ln: int) -> int | None:
-        """A put piece's CRC combined from the staging ledger, or None.
-
-        No counter bump here — the RMA ``put`` accounts for the reuse
-        when it receives a carried checksum.
-        """
-        led = self.staging_ledger(cycle)
-        if led is None or self._staging is None:
-            return None
-        return led.combine(loc, loc + ln)
-
-    # ------------------------------------------------------------------
     # Pooled receive buffers (see repro.mpi.bufpool)
     # ------------------------------------------------------------------
-    def take_buffer(self, nbytes: int) -> np.ndarray | None:
-        """Borrow a pooled scratch buffer (None in size-only mode)."""
-        if not self.carries_data:
-            return None
-        return self.mpi.world.buffer_pool(self.mpi.node).take(nbytes)
+    def take_buffer(self, nbytes: int):
+        """Borrow a pooled scratch buffer shaped like the rank's data."""
+        return empty(nbytes, like=self.data, alloc=self.mpi.world.buffer_pool(self.mpi.node).take)
 
-    def release_buffer(self, buf: np.ndarray | None) -> None:
-        if buf is not None:
-            self.mpi.world.buffer_pool(self.mpi.node).release(buf)
+    def release_buffer(self, buf) -> None:
+        self.mpi.world.buffer_pool(self.mpi.node).release(buf)
 
     # ------------------------------------------------------------------
     # File access helpers (the algorithms' ``write`` / ``write_init`` /
     # ``write_wait`` steps)
     # ------------------------------------------------------------------
-    def _write_slice(self, cycle: int) -> tuple[int, np.ndarray | None, int] | None:
+    def _write_slice(self, cycle: int):
+        """``(file_offset, sub-buffer slice)`` of this aggregator's cycle
+        extent, or None when it has nothing to write (or read)."""
         if not self.is_aggregator:
             return None
         rng = self.plan.write_range(self.agg_index, cycle)
@@ -395,12 +291,9 @@ class AlgoContext:
         assert crange is not None
         base = crange[0]
         lo, hi = rng
-        if not self.carries_data:
-            return lo, None, hi - lo
-        buf = self.buffer(self.sub_of_cycle(cycle))
-        return lo, buf[lo - base : hi - base], hi - lo
+        return lo, self.buffer(self.sub_of_cycle(cycle))[lo - base : hi - base]
 
-    def _journal_entry(self, cycle: int, offset: int, payload, nbytes: int):
+    def _journal_entry(self, cycle: int, offset: int, payload):
         """Checksum a cycle's bytes *at posting time* (buffer still stable).
 
         The sub-buffer is reused ``nsub`` cycles later, but the PFS
@@ -410,8 +303,7 @@ class AlgoContext:
         """
         if self.journal is None:
             return None
-        checksum = self.journal.checksum(payload) if payload is not None else None
-        return (cycle, offset, nbytes, checksum)
+        return (cycle, offset, len(payload), crc(payload))
 
     def _journal_commit(self, entry) -> None:
         """Declare a cycle durable: its write completed on the aggregator."""
@@ -432,27 +324,12 @@ class AlgoContext:
             return None
         return lambda: self._journal_commit(entry)
 
-    def _record_extent(self, cycle: int, offset: int, payload, nbytes: int):
-        """Checksum one cycle extent at the producing aggregator.
-
-        Files the CRC-32 in the integrity manifest and returns it for the
-        write path to carry (None when the layer is off or in size-only
-        mode — the fault-free paths stay byte-identical).  When the
-        delivery ledgers carry verified piece CRCs that tile the extent,
-        the CRC is combined from them — no byte is re-read and no memory
-        pass is charged.  Only a fresh checksum (ledger miss) reads every
-        byte once and charges ``nbytes`` at memory bandwidth — the honest
-        residual cost the overhead benchmarks measure.
-        """
-        if self.integrity is None or payload is None:
+    def _record_extent(self, cycle: int, offset: int, payload):
+        """The extent's CRC-32 to carry down the write path (recorded in the
+        integrity manifest), or None without checksum carrying."""
+        if self.carry is None:
             return None
-        carried = self._carried_extent_crc(cycle, offset, nbytes)
-        crc = self.integrity.record_extent(
-            self.fh.path, self.rank, offset, payload, nbytes, checksum=carried
-        )
-        if carried is None:
-            yield from self.mpi.compute(nbytes / self.memory_bandwidth)
-        return crc
+        return (yield from self.carry.record_extent(cycle, offset, payload))
 
     def write_blocking(self, cycle: int):
         """Blocking file-access phase for ``cycle`` (no MPI progress)."""
@@ -460,9 +337,10 @@ class AlgoContext:
         if sliced is None:
             return
         t0 = self.mpi.now
-        offset, payload, nbytes = sliced
-        entry = self._journal_entry(cycle, offset, payload, nbytes)
-        crc = yield from self._record_extent(cycle, offset, payload, nbytes)
+        offset, payload = sliced
+        nbytes = len(payload)
+        entry = self._journal_entry(cycle, offset, payload)
+        crc = yield from self._record_extent(cycle, offset, payload)
         recorder = self.recorder
         call_span = io_span = None
         if recorder.active:
@@ -475,13 +353,13 @@ class AlgoContext:
             )
         if self.stager is not None:
             yield from self.fh.stage_at(
-                self.stager, offset, payload, size=nbytes, cycle=cycle,
+                self.stager, offset, payload, cycle=cycle,
                 on_drained=self._drain_commit(entry), checksum=crc,
             )
         elif self.writer is not None:
-            yield from self.writer.write_at(offset, payload, size=nbytes, checksum=crc)
+            yield from self.writer.write_at(offset, payload, checksum=crc)
         else:
-            yield from self.fh.write_at(offset, payload, size=nbytes, checksum=crc)
+            yield from self.fh.write_at(offset, payload, checksum=crc)
         self.recorder.end(io_span, self.mpi.now)
         self.recorder.end(call_span, self.mpi.now)
         if self.stager is None:
@@ -495,7 +373,8 @@ class AlgoContext:
         if sliced is None:
             return None
         t0 = self.mpi.now
-        offset, payload, nbytes = sliced
+        offset, payload = sliced
+        nbytes = len(payload)
         recorder = self.recorder
         call_span = io_span = None
         if recorder.active:
@@ -507,19 +386,17 @@ class AlgoContext:
                 t0, "write", "io", rank=self.rank, cycle=cycle, flow="async",
                 bytes=nbytes,
             )
-        entry = self._journal_entry(cycle, offset, payload, nbytes)
-        crc = yield from self._record_extent(cycle, offset, payload, nbytes)
+        entry = self._journal_entry(cycle, offset, payload)
+        crc = yield from self._record_extent(cycle, offset, payload)
         if self.stager is not None:
             req = yield from self.fh.istage_at(
-                self.stager, offset, payload, size=nbytes, cycle=cycle,
+                self.stager, offset, payload, cycle=cycle,
                 on_drained=self._drain_commit(entry), checksum=crc,
             )
         elif self.writer is not None:
-            req = yield from self.writer.iwrite_at(
-                offset, payload, size=nbytes, checksum=crc
-            )
+            req = yield from self.writer.iwrite_at(offset, payload, checksum=crc)
         else:
-            req = yield from self.fh.iwrite_at(offset, payload, size=nbytes, checksum=crc)
+            req = yield from self.fh.iwrite_at(offset, payload, checksum=crc)
         self.recorder.end(call_span, self.mpi.now)
         if io_span is not None:
             self._write_spans[id(req)] = io_span
@@ -567,17 +444,14 @@ class AlgoContext:
         self.recorder.end(io_span, min(float(done_at), self.mpi.now))
 
     # The same three steps in the read direction: the file fills the
-    # sub-buffer slice that ``_write_slice`` names.
+    # sub-buffer slice that ``_write_slice`` names, in place.
     def read_blocking(self, cycle: int):
         """Blocking file-access phase of a read (no MPI progress)."""
         sliced = self._write_slice(cycle)
         if sliced is None:
             return
         t0 = self.mpi.now
-        offset, dest, nbytes = sliced
-        data = yield from self.fh.read_at(offset, nbytes)
-        if dest is not None:
-            dest[:] = data
+        yield from self.fh.read_at(*sliced)
         self.stats.add_time("read", self.mpi.now - t0)
         self.stats.bump("reads")
 
@@ -587,21 +461,17 @@ class AlgoContext:
         if sliced is None:
             return None
         t0 = self.mpi.now
-        offset, dest, nbytes = sliced
-        req, data = yield from self.fh.iread_at(offset, nbytes)
+        req = yield from self.fh.iread_at(*sliced)
         self.stats.add_time("read_post", self.mpi.now - t0)
         self.stats.bump("reads")
-        return req, dest, data
+        return req
 
     def read_wait(self, handle):
-        """Complete a posted read and land its bytes in the sub-buffer."""
+        """Complete a posted read (its bytes land in the sub-buffer)."""
         if handle is None:
             return
-        req, dest, data = handle
         t0 = self.mpi.now
-        yield from self.mpi.wait(req)
-        if dest is not None:
-            dest[:] = data
+        yield from self.mpi.wait(handle)
         self.stats.add_time("read", self.mpi.now - t0)
 
     def staging_flush(self):
@@ -627,103 +497,6 @@ class AlgoContext:
         yield from self.mpi.wait(Request(self.stager.flush(), "staging_flush"))
         self.recorder.end(span, self.mpi.now)
         self.stats.add_time("staging_flush", self.mpi.now - t0)
-
-    def _scrub_extent_crc(self, offset: int, nbytes: int):
-        """The CRC of an extent's stored bytes, metadata-first.
-
-        The PFS records every carried-checksum write's CRC as stored-CRC
-        metadata at commit time, so the common case is a dictionary
-        lookup; only extents without metadata (e.g. written before the
-        layer attached) pay a simulated read plus a fresh checksum.
-        """
-        integrity = self.integrity
-        stored = self.fh.file.stored_crc(offset, nbytes)
-        if stored is not None:
-            integrity.checksum_reused += 1
-            return stored
-        data = yield from self.fh.read_at(offset, nbytes)
-        integrity.checksum_computed += 1
-        return extent_checksum(data)
-
-    def integrity_scrub(self):
-        """Post-write scrub: verify this aggregator's extents on disk.
-
-        Runs after the staging flush (everything durable) and before the
-        closing barrier, so each aggregator scrubs exactly its own file
-        domain — together the manifests cover the whole striped file.
-        Each recorded extent's stored-CRC metadata (recorded by the PFS
-        at commit time, reflecting the bytes that actually landed —
-        including torn writes and commit-time bit-flips) is compared
-        against the manifest CRC; extents without metadata fall back to
-        a simulated read-back.  In repair mode a mismatch is rewritten
-        from the escrow copy (carrying the checksum, so the rewrite is
-        itself commit-verified).  Appends a :class:`ScrubReport` to the
-        layer and raises :class:`CorruptDataError` if any mismatch could
-        not be repaired.
-        """
-        integrity = self.integrity
-        if (
-            integrity is None
-            or not integrity.enabled
-            or not integrity.spec.scrub
-            or not self.is_aggregator
-            or not self.carries_data
-        ):
-            return
-        from repro.integrity.report import ScrubReport
-
-        entries = integrity.entries_for(self.fh.path, self.rank)
-        if not entries:
-            return
-        t0 = self.mpi.now
-        span = None
-        if self.recorder.active:
-            span = self.recorder.begin(
-                t0, "scrub", "integrity", rank=self.rank, extents=len(entries)
-            )
-        report = ScrubReport(rank=self.rank)
-        for offset, nbytes, crc in entries:
-            stored_crc = yield from self._scrub_extent_crc(offset, nbytes)
-            report.extents += 1
-            report.bytes_scrubbed += nbytes
-            if stored_crc == crc:
-                continue
-            report.mismatches += 1
-            report.bad_offsets.append(offset)
-            integrity.note("detected")
-            source = (
-                integrity.repair_source(self.fh.path, offset, nbytes)
-                if integrity.repairs
-                else None
-            )
-            if source is None:
-                continue
-            # The rewrite itself goes through the (still faulty) storage
-            # path, so re-verify it with bounded retries even when
-            # per-write read-back is off — the scrub is the last line of
-            # defense and must not trade one corruption for another.
-            fixed = False
-            for _ in range(integrity.spec.max_repair_attempts):
-                integrity.note("rewrite")
-                yield from self.fh.write_at(offset, source, checksum=crc)
-                stored_crc = yield from self._scrub_extent_crc(offset, nbytes)
-                if stored_crc == crc:
-                    fixed = True
-                    break
-                integrity.note("detected")
-            if not fixed:
-                continue
-            report.repaired += 1
-            integrity.note("repaired")
-        integrity.scrub_reports.append(report)
-        self.recorder.end(span, self.mpi.now)
-        self.stats.add_time("scrub", self.mpi.now - t0)
-        self.stats.bump("scrub_extents", report.extents)
-        if not report.clean:
-            raise CorruptDataError(
-                f"scrub on rank {self.rank} found {report.mismatches} corrupt "
-                f"extent(s), repaired {report.repaired}"
-            )
 
     def iteration(self, cycle: int):
         """Span over one internal-cycle iteration of an overlap algorithm.

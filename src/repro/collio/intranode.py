@@ -31,11 +31,9 @@ as ``"gather"`` spans in the ``"intranode"`` span category with
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.collio.context import AlgoContext
 from repro.collio.plan import TwoLayerPlan
-from repro.integrity.checksum import crc32_concat, extent_checksum
+from repro.payload import gather, place
 
 __all__ = ["TwoLayerShuffle", "INTRANODE_CONTEXT"]
 
@@ -43,36 +41,13 @@ __all__ = ["TwoLayerShuffle", "INTRANODE_CONTEXT"]
 INTRANODE_CONTEXT = "intranode"
 
 
-def _stream_pieces(plan: TwoLayerPlan, rank: int, cycle: int):
+def _stream_pieces(plan: TwoLayerPlan, rank: int, cycle: int) -> list[tuple[int, int]]:
     """(local_offset, length) pairs of a member's pack stream, in order."""
-    for sa in plan.member_sends_for(rank, cycle):
-        for loc, ln in zip(sa.local_offsets, sa.lengths):
-            yield int(loc), int(ln)
-
-
-def _stream_checksums(ctx: AlgoContext, rank: int, cycle: int):
-    """Per-piece ``(nbytes, crc)`` of a member's pack stream + whole CRC.
-
-    This is where gather traffic's checksums are *born*: each stream
-    piece is checksummed once from the member's user buffer; the whole-
-    message CRC is combined from them (no second byte pass).  Returns
-    ``(None, None)`` without an integrity layer or payload bytes.
-    """
-    integrity = ctx.integrity
-    if integrity is None or not ctx.carries_data:
-        return None, None
-    pieces = []
-    for loc, ln in _stream_pieces(ctx.plan, rank, cycle):
-        pieces.append((ln, extent_checksum(ctx.data[loc : loc + ln])))
-        integrity.checksum_computed += 1
-    if not pieces:
-        return None, None
-    if len(pieces) == 1:
-        whole = pieces[0][1]
-    else:
-        whole = crc32_concat(pieces)
-        integrity.checksum_reused += 1
-    return tuple(pieces), whole
+    return [
+        (int(loc), int(ln))
+        for sa in plan.member_sends_for(rank, cycle)
+        for loc, ln in zip(sa.local_offsets, sa.lengths)
+    ]
 
 
 class TwoLayerShuffle:
@@ -149,18 +124,16 @@ class TwoLayerShuffle:
         nbytes, npieces = plan.gather_load(ctx.rank, cycle)
         if not nbytes:
             return
-        payload = None
-        if ctx.carries_data:
-            parts = [
-                ctx.data[loc : loc + ln] for loc, ln in _stream_pieces(plan, ctx.rank, cycle)
-            ]
-            payload = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        spans = _stream_pieces(plan, ctx.rank, cycle)
+        payload = gather(ctx.data, spans)
         cost = ctx.pack_cost(nbytes, npieces)
         if cost:
             yield from ctx.mpi.compute(cost)
-        pieces, whole = _stream_checksums(ctx, ctx.rank, cycle)
+        pieces = whole = None
+        if ctx.carry is not None:
+            pieces, whole = ctx.carry.stream_checksums(spans)
         yield from ctx.mpi.send(
-            leader, tag=cycle, data=payload, size=nbytes,
+            leader, tag=cycle, data=payload,
             context=INTRANODE_CONTEXT, readonly=True,
             checksum=whole, piece_checksums=pieces,
         )
@@ -170,13 +143,12 @@ class TwoLayerShuffle:
         """Receive every member's stream and assemble the staging slot."""
         plan: TwoLayerPlan = ctx.plan
         rank = ctx.rank
-        # The slot is being refilled: any leftover verified CRCs from the
-        # cycle that previously used it are stale now.
-        led = ctx.staging_ledger(cycle)
-        if led is not None:
-            led.clear()
+        if ctx.carry is not None:
+            # The slot is being refilled: any leftover verified CRCs from
+            # the cycle that previously used it are stale now.
+            ctx.carry.staging_ledger(cycle).clear()
         requests = []
-        inbound: list[tuple[int, np.ndarray | None, object]] = []
+        inbound: list[tuple[int, object, object]] = []
         for member in plan.members_of_leader[rank]:
             if member == rank:
                 continue
@@ -186,7 +158,7 @@ class TwoLayerShuffle:
             # Pooled receive buffer (returned once staged).
             buf = ctx.take_buffer(nbytes)
             req = yield from ctx.mpi.irecv(
-                member, tag=cycle, buffer=buf, size=nbytes, context=INTRANODE_CONTEXT
+                member, tag=cycle, buffer=buf, context=INTRANODE_CONTEXT
             )
             requests.append(req)
             inbound.append((member, buf, req))
@@ -210,52 +182,38 @@ class TwoLayerShuffle:
             yield from ctx.mpi.compute(cost)
 
     # ------------------------------------------------------------------
-    # Staging-buffer byte movement (skipped in size-only mode)
+    # Staging-buffer byte movement
     # ------------------------------------------------------------------
     def _stage_own(self, ctx: AlgoContext, cycle: int) -> None:
         """Copy the leader's own pieces straight into staging.
 
         The leader is the producer of its own stream, so its piece CRCs
-        are computed here (once) and filed in the staging ledger under
-        their staging offsets — the forward shuffle combines them.
+        are computed here (once) and filed under their staging offsets —
+        the forward shuffle combines them.
         """
-        if not ctx.carries_data:
-            return
         plan: TwoLayerPlan = ctx.plan
         stag = ctx.staging(ctx.sub_of_cycle(cycle))
         dests = plan.gather_scatter(cycle, ctx.rank)
-        led = ctx.staging_ledger(cycle)
-        integrity = ctx.integrity
-        for i, (loc, ln) in enumerate(_stream_pieces(plan, ctx.rank, cycle)):
-            off = int(dests[i])
-            piece = ctx.data[loc : loc + ln]
-            stag[off : off + ln] = piece
-            if led is not None:
-                led.file(off, ln, extent_checksum(piece))
-                integrity.checksum_computed += 1
+        spans = _stream_pieces(plan, ctx.rank, cycle)
+        for dest, (loc, ln) in zip(dests, spans):
+            place(stag, ((int(dest), ln),), ctx.data[loc : loc + ln])
+        if ctx.carry is not None:
+            ctx.carry.file_own_stream(cycle, dests, spans)
 
-    def _stage_member(
-        self, ctx: AlgoContext, cycle: int, member: int,
-        buf: np.ndarray | None, req=None,
-    ) -> None:
+    def _stage_member(self, ctx: AlgoContext, cycle: int, member: int, buf, req) -> None:
         """Scatter a member's received stream into staging positions.
 
         The delivered message's carried piece CRCs (already verified as
-        a whole at receive time) are filed in the staging ledger under
-        their staging offsets — no byte is re-checksummed here.
+        a whole at receive time) are filed under their staging offsets —
+        no byte is re-checksummed here.
         """
-        if buf is None:
-            return
         plan: TwoLayerPlan = ctx.plan
-        stag = ctx.staging(ctx.sub_of_cycle(cycle))
         dests = plan.gather_scatter(cycle, member)
-        led = ctx.staging_ledger(cycle)
-        carried = getattr(req.detail, "piece_checksums", None) if req is not None else None
-        pos = 0
-        for i, (_loc, ln) in enumerate(_stream_pieces(plan, member, cycle)):
-            off = int(dests[i])
-            stag[off : off + ln] = buf[pos : pos + ln]
-            if led is not None and carried is not None and i < len(carried):
-                led.file(off, ln, carried[i][1])
-                ctx.integrity.checksum_reused += 1
-            pos += ln
+        spans = _stream_pieces(plan, member, cycle)
+        place(
+            ctx.staging(ctx.sub_of_cycle(cycle)),
+            [(int(dest), ln) for dest, (_loc, ln) in zip(dests, spans)],
+            buf,
+        )
+        if ctx.carry is not None:
+            ctx.carry.file_member_stream(cycle, dests, spans, req.detail.piece_checksums)

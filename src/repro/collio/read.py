@@ -64,6 +64,7 @@ from repro.collio.view import FileView
 from repro.config import DEFAULT_SEED
 from repro.fs.presets import FsSpec
 from repro.hardware.cluster import ClusterSpec
+from repro.payload import empty, gather, place
 
 __all__ = [
     "READ",
@@ -73,24 +74,16 @@ __all__ = [
 ]
 
 
-def _deliver(ctx: AlgoContext, sa: SendAssignment, payload: np.ndarray | None) -> None:
+def _deliver(ctx: AlgoContext, sa: SendAssignment, payload) -> None:
     """Copy a received bundle's pieces into the rank's output buffer."""
-    if payload is None:
-        return
-    pos = 0
-    for _, ln, loc in sa.pieces:
-        ctx.data[loc : loc + ln] = payload[pos : pos + ln]
-        pos += ln
+    place(ctx.data, [(loc, ln) for _, ln, loc in sa.pieces], payload)
 
 
-def _bundle_from_buffer(ctx: AlgoContext, cycle: int, sa: SendAssignment) -> np.ndarray | None:
+def _bundle_from_buffer(ctx: AlgoContext, cycle: int, sa: SendAssignment):
     """Gather a destination's pieces out of the aggregator's sub-buffer."""
-    if not ctx.carries_data:
-        return None
     base = ctx.plan.cycle_range(sa.agg_index, cycle)[0]
     buf = ctx.buffer(ctx.sub_of_cycle(cycle))
-    parts = [buf[off - base : off - base + ln] for off, ln, _ in sa.pieces]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return gather(buf, [(off - base, ln) for off, ln, _ in sa.pieces])
 
 
 class TwoSidedScatter:
@@ -112,16 +105,13 @@ class TwoSidedScatter:
         for sa in plan.sends_for(ctx.rank, cycle):
             if plan.aggregators[sa.agg_index] == ctx.rank:
                 continue  # self-delivery handled at wait
-            if ctx.carries_data and sa.npieces == 1:
+            if sa.npieces == 1:
                 _, ln, loc = sa.pieces[0]
                 buf = ctx.data[loc : loc + ln]
-            elif ctx.carries_data:
-                buf = np.empty(sa.nbytes, dtype=np.uint8)
             else:
-                buf = None
+                buf = empty(sa.nbytes, like=ctx.data)
             req = yield from ctx.mpi.irecv(
-                plan.aggregators[sa.agg_index], tag=cycle, buffer=buf,
-                size=sa.nbytes, context="scatter",
+                plan.aggregators[sa.agg_index], tag=cycle, buffer=buf, context="scatter",
             )
             recvs.append(req)
             if sa.npieces > 1:
@@ -139,8 +129,7 @@ class TwoSidedScatter:
                         yield from ctx.mpi.compute(cost)
                     payload = _bundle_from_buffer(ctx, cycle, sa)
                     req = yield from ctx.mpi.isend(
-                        exp.src_rank, tag=cycle, data=payload, size=sa.nbytes,
-                        context="scatter",
+                        exp.src_rank, tag=cycle, data=payload, context="scatter",
                     )
                     sends.append(req)
         ctx.stats.add_time("scatter_init", ctx.mpi.now - t0)
@@ -192,8 +181,7 @@ class OneSidedGetScatter:
             agg_rank = plan.aggregators[sa.agg_index]
             base = plan.cycle_range(sa.agg_index, cycle)[0]
             for off, ln, loc in sa.pieces:
-                local = ctx.data[loc : loc + ln] if ctx.carries_data else None
-                evt = yield from win.get(agg_rank, local, off - base, size=ln)
+                evt = yield from win.get(agg_rank, ctx.data[loc : loc + ln], off - base)
                 gets.append(evt)
         ctx.stats.bump("gets_issued", len(gets))
         ctx.stats.add_time("scatter_init", ctx.mpi.now - t0)

@@ -35,10 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.collio.context import AlgoContext
 from repro.collio.plan import SendAssignment
+from repro.payload import gather, place
 
 __all__ = [
     "ShuffleHandle",
@@ -65,39 +64,23 @@ class ShuffleHandle:
     comm_span: Any = None
 
 
-def _pack(data: np.ndarray | None, sa: SendAssignment) -> np.ndarray | None:
-    """Gather a send assignment's pieces into one contiguous message.
-
-    Returns ``None`` in size-only mode (timing is unchanged; the pack CPU
-    cost is charged by the caller either way).
-    """
-    if data is None:
-        return None
-    pieces = sa.pieces
-    if len(pieces) == 1:
-        _, ln, lo = pieces[0]
-        return data[lo : lo + ln]  # zero-copy view of the user buffer
-    out = np.empty(sa.nbytes, dtype=data.dtype)
-    pos = 0
-    for _, ln, lo in pieces:
-        out[pos : pos + ln] = data[lo : lo + ln]
-        pos += ln
-    return out
+def _pack(data, sa: SendAssignment):
+    """Gather a send assignment's pieces into one contiguous message (a
+    single piece is a zero-copy view of the user buffer; the pack CPU cost
+    is charged by the caller)."""
+    return gather(data, [(loc, ln) for _, ln, loc in sa.pieces])
 
 
-def _scatter(ctx: AlgoContext, cycle: int, sa: SendAssignment, payload: np.ndarray | None) -> None:
+def _scatter(ctx: AlgoContext, cycle: int, sa: SendAssignment, payload) -> None:
     """Place a contribution's pieces at their final sub-buffer positions."""
-    if payload is None:
-        return
-    crange = ctx.plan.cycle_range(sa.agg_index, cycle)
-    assert crange is not None
-    base = crange[0]
+    base = ctx.plan.cycle_range(sa.agg_index, cycle)[0]
     buf = ctx.buffer(ctx.sub_of_cycle(cycle))
-    pos = 0
-    for off, ln, _ in sa.pieces:
-        lo = off - base
-        buf[lo : lo + ln] = payload[pos : pos + ln]
-        pos += ln
+    place(buf, [(off - base, ln) for off, ln, _ in sa.pieces], payload)
+
+
+def _staged_crc(ctx: AlgoContext, cycle: int, loc: int, ln: int) -> int | None:
+    """A put piece's carried CRC (from a leader's staging ledger), or None."""
+    return None if ctx.carry is None else ctx.carry.staged_piece_crc(cycle, loc, ln)
 
 
 class TwoSidedShuffle:
@@ -136,8 +119,7 @@ class TwoSidedShuffle:
                 # scatter fully consumes it within this cycle.
                 buf = ctx.take_buffer(exp.nbytes)
                 req = yield from ctx.mpi.irecv(
-                    exp.src_rank, tag=cycle, buffer=buf, size=exp.nbytes,
-                    context=self.context_tag,
+                    exp.src_rank, tag=cycle, buffer=buf, context=self.context_tag,
                 )
                 handle.requests.append(req)
                 handle.unpacks.append((exp.src_rank, buf, req))
@@ -153,11 +135,13 @@ class TwoSidedShuffle:
                 yield from ctx.mpi.compute(cost)
             # Producer-side checksums: computed (or combined from the
             # staging ledger) once here, carried with the message.
-            pieces, whole = ctx.piece_checksums_for(cycle, sa, src)
+            pieces = whole = None
+            if ctx.carry is not None:
+                pieces, whole = ctx.carry.piece_checksums(cycle, sa, src)
             # readonly: the payload is a view of the rank's frozen data or
             # a single-use pack buffer — the eager path may skip its copy.
             req = yield from ctx.mpi.isend(
-                agg_rank, tag=cycle, data=payload, size=sa.nbytes,
+                agg_rank, tag=cycle, data=payload,
                 context=self.context_tag, readonly=True,
                 checksum=whole, piece_checksums=pieces,
             )
@@ -188,41 +172,32 @@ class TwoSidedShuffle:
         """The post-transfer unpack/scatter step (aggregator CPU)."""
         cycle = handle.cycle
         if handle.unpacks and ctx.is_aggregator:
-            by_src = {
-                sa_src: [
-                    sa
-                    for sa in ctx.plan.sends_for(sa_src, cycle)
-                    if sa.agg_index == ctx.agg_index
-                ]
-                for sa_src, _, _ in handle.unpacks
-            }
+            base = ctx.plan.cycle_range(ctx.agg_index, cycle)[0]
+            sub = ctx.buffer(ctx.sub_of_cycle(cycle))
             total_bytes = 0
             total_pieces = 0
             for src, buf, req in handle.unpacks:
-                # Piece CRCs the (verified) delivery carried: file them
-                # under their file offsets so the extent record can
-                # combine instead of re-checksumming the cycle buffer.
-                carried = getattr(req.detail, "piece_checksums", None)
-                pidx = 0
-                pos = 0
-                for sa in by_src[src]:
-                    payload = buf[pos : pos + sa.nbytes] if buf is not None else None
-                    _scatter(ctx, cycle, sa, payload)
-                    if carried is not None and pidx + sa.npieces <= len(carried):
-                        ctx.file_cycle_checksums(sa, carried[pidx : pidx + sa.npieces])
-                    pidx += sa.npieces
-                    pos += sa.nbytes
-                    total_bytes += sa.nbytes
-                    total_pieces += sa.npieces
+                sas = [
+                    sa for sa in ctx.plan.sends_for(src, cycle)
+                    if sa.agg_index == ctx.agg_index
+                ]
+                # The message is the sender's assignments packed end to end.
+                place(sub, [(off - base, ln) for sa in sas for off, ln, _ in sa.pieces], buf)
+                total_bytes += len(buf)
+                total_pieces += sum(sa.npieces for sa in sas)
+                if ctx.carry is not None:
+                    # Piece CRCs the (verified) delivery carried, filed so
+                    # the extent record combines instead of re-checksumming.
+                    ctx.carry.file_delivered(sas, req.detail.piece_checksums)
                 ctx.release_buffer(buf)
             cost = ctx.unpack_cost(total_bytes, total_pieces)
             if cost:
                 yield from ctx.mpi.compute(cost)
         for sa in handle.local_copies:
             src_arr = ctx.send_source(cycle)
-            pieces, _whole = ctx.piece_checksums_for(cycle, sa, src_arr)
             _scatter(ctx, cycle, sa, _pack(src_arr, sa))
-            ctx.file_cycle_checksums(sa, pieces)
+            if ctx.carry is not None:
+                ctx.carry.file_local_copy(cycle, sa, src_arr)
             yield from ctx.mpi.compute(ctx.local_copy_cost(sa.nbytes, sa.npieces))
         # This cycle's data is now fully placed in the sub-buffer — the
         # in-flight shuffle ends here (covers both the wait() path and
@@ -258,11 +233,9 @@ class _OneSidedBase:
             assert crange is not None
             base = crange[0]
             for off, ln, loc in sa.pieces:
-                piece = src[loc : loc + ln] if src is not None else None
-                crc = ctx.staged_piece_crc(cycle, loc, ln) if piece is not None else None
                 yield from win.put(
-                    agg_rank, piece, off - base, size=ln,
-                    checksum=crc, file_offset=off,
+                    agg_rank, src[loc : loc + ln], off - base,
+                    checksum=_staged_crc(ctx, cycle, loc, ln), file_offset=off,
                 )
                 ctx.note_message(agg_rank, ln)
                 nputs += 1
@@ -399,11 +372,9 @@ class OneSidedLockShuffle(_OneSidedBase):
                 assert crange is not None
                 base = crange[0]
                 for off, ln, loc in sa.pieces:
-                    piece = src[loc : loc + ln] if src is not None else None
-                    crc = ctx.staged_piece_crc(cycle, loc, ln) if piece is not None else None
                     yield from win.put(
-                        agg_rank, piece, off - base, size=ln,
-                        checksum=crc, file_offset=off,
+                        agg_rank, src[loc : loc + ln], off - base,
+                        checksum=_staged_crc(ctx, cycle, loc, ln), file_offset=off,
                     )
                     ctx.note_message(agg_rank, ln)
                     nputs += 1

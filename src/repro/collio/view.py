@@ -20,7 +20,10 @@ __all__ = ["FileView"]
 class FileView:
     """The file footprint of one rank in a collective write."""
 
-    __slots__ = ("offsets", "lengths", "local_offsets", "total_bytes", "ends", "_cumlens")
+    __slots__ = (
+        "offsets", "lengths", "local_offsets", "total_bytes", "ends", "_cumlens",
+        "required_buffer_bytes",
+    )
 
     def __init__(self, offsets: np.ndarray, lengths: np.ndarray) -> None:
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -46,6 +49,10 @@ class FileView:
         self._cumlens = cum
         self.local_offsets = cum[:-1]
         self.total_bytes = int(cum[-1])
+        #: Smallest local buffer that covers every extent's bytes:
+        #: ``total_bytes`` for canonically packed views, larger for
+        #: :meth:`from_pieces` replay views addressing a full-size buffer.
+        self.required_buffer_bytes = self.total_bytes
 
     # ------------------------------------------------------------------
     @classmethod
@@ -81,23 +88,14 @@ class FileView:
         if len(local_offsets) and (local_offsets < 0).any():
             raise WorkloadError("local offsets must be >= 0")
         view.local_offsets = local_offsets
+        if len(local_offsets):
+            view.required_buffer_bytes = int((local_offsets + view.lengths).max())
         return view
 
     # ------------------------------------------------------------------
     @property
     def num_extents(self) -> int:
         return len(self.offsets)
-
-    @property
-    def required_buffer_bytes(self) -> int:
-        """Smallest local buffer that covers every extent's bytes.
-
-        Equals ``total_bytes`` for canonically packed views; larger for
-        :meth:`from_pieces` replay views addressing a full-size buffer.
-        """
-        if not len(self.offsets):
-            return 0
-        return int((self.local_offsets + self.lengths).max())
 
     @property
     def file_range(self) -> tuple[int, int]:

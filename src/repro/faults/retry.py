@@ -134,8 +134,7 @@ class ReliableWriter:
         self._submit_failures = 0  # consecutive aio submission refusals
 
     # ------------------------------------------------------------------
-    def write_at(self, offset: int, data, size: int | None = None,
-                 checksum: int | None = None):
+    def write_at(self, offset: int, data, checksum: int | None = None):
         """Blocking write with retries (generator; run in rank context)."""
         policy = self.policy
         attempt = 0
@@ -146,7 +145,7 @@ class ReliableWriter:
             )
             try:
                 yield from self.fh.write_at(
-                    offset, data, size=size, timeout=policy.write_timeout,
+                    offset, data, timeout=policy.write_timeout,
                     checksum=checksum,
                 )
                 self.recorder.end(span, self.engine.now)
@@ -176,8 +175,7 @@ class ReliableWriter:
                     yield self.engine.timeout(backoff)
 
     # ------------------------------------------------------------------
-    def iwrite_at(self, offset: int, data, size: int | None = None,
-                  checksum: int | None = None):
+    def iwrite_at(self, offset: int, data, checksum: int | None = None):
         """Asynchronous write with supervised retries (generator).
 
         Returns a :class:`Request` whose event fails only once the policy
@@ -188,10 +186,10 @@ class ReliableWriter:
         """
         policy = self.policy
         if self.degraded:
-            yield from self.write_at(offset, data, size=size, checksum=checksum)
+            yield from self.write_at(offset, data, checksum=checksum)
             return self._completed_handle()
         try:
-            req = yield from self.fh.iwrite_at(offset, data, size=size, checksum=checksum)
+            req = yield from self.fh.iwrite_at(offset, data, checksum=checksum)
         except AioSubmitError:
             self._submit_failures += 1
             if (
@@ -206,12 +204,12 @@ class ReliableWriter:
             # rank loses this cycle's overlap but the pipeline stays
             # correct.
             self.recorder.inc("retry.sync_fallback")
-            yield from self.write_at(offset, data, size=size, checksum=checksum)
+            yield from self.write_at(offset, data, checksum=checksum)
             return self._completed_handle()
         self._submit_failures = 0
         outer = self.engine.event()
         self.engine.process(
-            self._supervise(offset, data, size, req.event, outer, checksum),
+            self._supervise(offset, data, req.event, outer, checksum),
             name=f"retry.r{self.rank}@{offset}",
         )
         return _request_cls()(outer, "iwrite", req)
@@ -222,7 +220,7 @@ class ReliableWriter:
         return _request_cls()(done, "iwrite", None)
 
     # ------------------------------------------------------------------
-    def _supervise(self, offset, data, size, event, outer, checksum=None):
+    def _supervise(self, offset, data, event, outer, checksum=None):
         """Background supervisor: await, time out, reissue (generator).
 
         Runs as its own process so retries progress while the rank is
@@ -289,10 +287,10 @@ class ReliableWriter:
             )
             try:
                 event = self.fh.aio.submit(
-                    self.fh.file, offset, data, size=size, checksum=checksum
+                    self.fh.file, offset, data, checksum=checksum
                 ).event
             except AioSubmitError:
                 self.recorder.inc("retry.sync_fallback")
                 event = self.fh.pfs.write(
-                    self.fh.file, offset, data, size=size, checksum=checksum
+                    self.fh.file, offset, data, checksum=checksum
                 )

@@ -11,8 +11,6 @@ client) and ``FsSpec.aio_extra_overhead`` (per-request setup penalty).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import AioSubmitError, FileSystemError
 from repro.sim.engine import Engine, Event
 from repro.sim.resources import FifoResource
@@ -72,18 +70,17 @@ class AioEngine:
         self,
         file: SimFile,
         offset: int,
-        data: np.ndarray | None,
-        size: int | None = None,
+        data,
         checksum: int | None = None,
     ) -> AioRequest:
-        """Issue an asynchronous write; returns immediately with a handle.
+        """Issue an asynchronous write of payload ``data``; returns at once.
 
         The write is progressed by the simulated OS: it queues for an aio
         slot (if limited), pays the per-request aio overhead, then runs the
         striped write.  The caller's buffer must stay stable until the
         request's event fires (see :class:`ParallelFileSystem.write`).
-        ``data=None`` + ``size`` selects size-only mode (same timing, no
-        bytes stored).
+        A :class:`~repro.payload.Sized` ``data`` has the same timing and
+        stores no bytes.
 
         Raises :class:`~repro.errors.AioSubmitError` when the fault
         injector refuses the submission (EAGAIN-style); callers fall back
@@ -94,7 +91,7 @@ class AioEngine:
             raise AioSubmitError(
                 f"injected aio submission failure on client {self.client}"
             )
-        nbytes = int(data.size) if data is not None else int(size or 0)
+        nbytes = len(data)
         self.requests_issued += 1
         done = self.engine.event()
         req = AioRequest(done, offset, nbytes, self.engine.now)
@@ -107,41 +104,40 @@ class AioEngine:
         if span is not None:
             done.callbacks.append(lambda evt, _s=span: self.recorder.end(_s, evt.engine.now))
         self.engine.process(
-            self._drive(file, offset, data, size, done, checksum), name=f"aio@{offset}"
+            self._drive(file, offset, data, done, checksum), name=f"aio@{offset}"
         )
         return req
 
-    def submit_read(self, file: SimFile, offset: int, size: int) -> tuple[AioRequest, np.ndarray]:
-        """Issue an asynchronous read; returns ``(handle, buffer)``.
+    def submit_read(self, file: SimFile, offset: int, dest) -> AioRequest:
+        """Issue an asynchronous read into ``dest``; returns a handle.
 
-        The buffer is filled when the handle's event fires.  Reads share
-        the same aio slot limits and quality knobs as writes.
+        ``dest`` is filled in place when the read lands (before the
+        handle's event fires).  Reads share the same aio slot limits and
+        quality knobs as writes.
         """
         self.requests_issued += 1
         done = self.engine.event()
-        req = AioRequest(done, offset, int(size), self.engine.now)
-        out = np.zeros(int(size), dtype=np.uint8)
+        size = len(dest)
+        req = AioRequest(done, offset, size, self.engine.now)
         span = None
         if self.recorder.active:
             span = self.recorder.begin(
                 self.engine.now, "aio.read", "io.aio", rank=self.client,
-                flow="async", offset=offset, bytes=int(size),
+                flow="async", offset=offset, bytes=size,
             )
         if span is not None:
             done.callbacks.append(lambda evt, _s=span: self.recorder.end(_s, evt.engine.now))
-        self.engine.process(self._drive_read(file, offset, out, done), name=f"aior@{offset}")
-        return req, out
+        self.engine.process(self._drive_read(file, offset, dest, done), name=f"aior@{offset}")
+        return req
 
-    def _drive_read(self, file: SimFile, offset: int, out: np.ndarray, done: Event):
+    def _drive_read(self, file: SimFile, offset: int, dest, done: Event):
         if self._slots is not None:
             yield self._slots.request()
         try:
             if self._extra:
                 yield self.engine.timeout(self._extra)
             started = self.engine.now
-            read_done, data = self.pfs.read(file, offset, out.size)
-            yield read_done
-            out[:] = data
+            yield self.pfs.read(file, offset, dest)
             factor = self.pfs.spec.aio_throughput_factor
             if factor < 1.0:
                 elapsed = self.engine.now - started
@@ -151,8 +147,8 @@ class AioEngine:
                 self._slots.release()
         done.succeed(self.engine.now)
 
-    def _drive(self, file: SimFile, offset: int, data: np.ndarray | None,
-               size: int | None, done: Event, checksum: int | None = None):
+    def _drive(self, file: SimFile, offset: int, data, done: Event,
+               checksum: int | None = None):
         if self._slots is not None:
             yield self._slots.request()
         try:
@@ -160,7 +156,7 @@ class AioEngine:
                 yield self.engine.timeout(self._extra)
             started = self.engine.now
             try:
-                yield self.pfs.write(file, offset, data, size=size, checksum=checksum)
+                yield self.pfs.write(file, offset, data, checksum=checksum)
             except FileSystemError as exc:
                 # Surface the storage failure through the request handle
                 # (aio_error semantics) instead of killing the driver.

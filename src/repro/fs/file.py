@@ -7,6 +7,7 @@ from bisect import bisect_left, insort
 import numpy as np
 
 from repro.errors import FileSystemError
+from repro.payload import as_payload, grow, place, zeros
 
 __all__ = ["SimFile"]
 
@@ -19,8 +20,9 @@ class SimFile:
     ``fallocate`` is to a real stack); a file nobody sized grows
     geometrically on writes past the current end.  Either way it behaves
     like a sparse file: holes read as zero and only writes move
-    :attr:`size`.  This class is pure data — timing lives in
-    :class:`repro.fs.pfs.ParallelFileSystem`.
+    :attr:`size`.  A size-only write (a :class:`~repro.payload.Sized`
+    payload) moves :attr:`size` and stores nothing.  This class is pure
+    data — timing lives in :class:`repro.fs.pfs.ParallelFileSystem`.
     """
 
     def __init__(self, path: str) -> None:
@@ -45,13 +47,9 @@ class SimFile:
         """Current file size in bytes (highest written offset + 1)."""
         return self._size
 
-    def _ensure_capacity(self, end: int) -> None:
-        if end <= len(self._data):
-            return
-        new_cap = max(end, 2 * len(self._data), 4096)
-        grown = np.zeros(new_cap, dtype=np.uint8)
-        grown[: len(self._data)] = self._data
-        self._data = grown
+    def _ensure_capacity(self, end: int, like=None) -> None:
+        if end > len(self._data):
+            self._data = grow(self._data, max(end, 2 * len(self._data), 4096), like=like)
 
     def reserve(self, end: int) -> None:
         """Size the store for bytes up to ``end`` in one allocation.
@@ -67,16 +65,14 @@ class SimFile:
         """Back to an empty file (the run that owned the bytes is over)."""
         self.__init__(self.path)
 
-    def write(self, offset: int, data: np.ndarray | bytes | bytearray) -> None:
-        """Store ``data`` at ``offset`` (extends the file as needed)."""
+    def write(self, offset: int, data) -> None:
+        """Store payload ``data`` at ``offset`` (extends the file as needed)."""
         if offset < 0:
             raise FileSystemError(f"negative write offset: {offset}")
-        buf = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
-        if buf.dtype != np.uint8:
-            buf = buf.view(np.uint8)
+        buf = as_payload(data)
         end = offset + len(buf)
-        self._ensure_capacity(end)
-        self._data[offset:end] = buf
+        self._ensure_capacity(end, like=buf)
+        place(self._data, ((offset, len(buf)),), buf)
         self._size = max(self._size, end)
         if self._stored_crcs:
             # Any overlapping write invalidates previously recorded CRCs
@@ -92,21 +88,26 @@ class SimFile:
                     del self._stored_crcs[key]
                 keys[lo:hi] = [key for key in keys[lo:hi] if offset >= key[0] + key[1]]
 
-    def note_size(self, end: int) -> None:
-        """Record a size-only write's end offset (no bytes stored)."""
-        if end < 0:
-            raise FileSystemError(f"negative size: {end}")
-        self._size = max(self._size, end)
-
     def read(self, offset: int, size: int) -> np.ndarray:
         """Return ``size`` bytes at ``offset``; holes/EOF read as zeros."""
-        if offset < 0 or size < 0:
+        if size < 0:
             raise FileSystemError(f"invalid read: offset={offset} size={size}")
-        out = np.zeros(size, dtype=np.uint8)
-        avail_end = min(offset + size, len(self._data))
-        if avail_end > offset:
-            out[: avail_end - offset] = self._data[offset:avail_end]
+        out = np.empty(size, dtype=np.uint8)
+        self.read_into(offset, out)
         return out
+
+    def read_into(self, offset: int, dest) -> None:
+        """Fill ``dest`` with the bytes at ``offset``; holes/EOF read as zeros.
+
+        A size-only descriptor ``dest`` receives nothing.
+        """
+        n = len(dest)
+        if offset < 0:
+            raise FileSystemError(f"invalid read: offset={offset} size={n}")
+        avail = max(0, min(n, len(self._data) - offset))
+        place(dest, ((0, avail),), self._data[offset : offset + avail])
+        if avail < n:
+            place(dest, ((avail, n - avail),), zeros(n - avail, like=dest))
 
     def stored(self, offset: int, size: int) -> np.ndarray:
         """The same bytes as :meth:`read`, as a read-only view of the store.

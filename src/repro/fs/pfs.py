@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.errors import CorruptDataError, FileSystemError
 from repro.integrity.checksum import extent_checksum
+from repro.payload import as_payload, flip, zeros
 from repro.sim.engine import Engine, Event
 from repro.sim.primitives import all_of, defuse
 from repro.sim.rng import RngStreams
@@ -122,20 +123,17 @@ class ParallelFileSystem:
         self,
         file: SimFile,
         offset: int,
-        data: np.ndarray | None,
-        size: int | None = None,
+        data,
         checksum: int | None = None,
     ) -> Event:
-        """Submit a write; returns the completion event.
+        """Submit a write of payload ``data``; returns the completion event.
 
-        ``data`` must be a contiguous ``uint8`` view of the caller's
-        buffer.  The bytes are sampled at *completion* (see class docs), so
-        callers must keep the buffer stable until the event fires.
-
-        Pass ``data=None`` with an explicit ``size`` for *size-only* mode:
-        the timing (striping, queueing, contention) is identical but no
-        bytes are stored — used by large benchmark sweeps where moving
-        real payloads would only exercise the host's memory bus.
+        Real bytes are sampled at *completion* (see class docs), so
+        callers must keep the buffer stable until the event fires.  A
+        :class:`~repro.payload.Sized` descriptor is *size-only* mode: the
+        timing (striping, queueing, contention) is identical but no bytes
+        are stored — used by large benchmark sweeps where moving real
+        payloads would only exercise the host's memory bus.
 
         ``checksum`` is the extent's producer-side CRC-32.  When the world
         runs an integrity layer, a carried checksum is recorded as the
@@ -150,15 +148,12 @@ class ParallelFileSystem:
         bounded attempts.  Without a layer (or checksum) the path below is
         byte-identical to the pre-integrity write.
         """
+        if data.dtype != np.uint8:
+            raise FileSystemError(f"write data must be uint8, got {data.dtype}")
+        data = as_payload(data)
         integrity = self.integrity
-        if (
-            integrity is None
-            or not integrity.enabled
-            or checksum is None
-            or data is None
-            or data.size == 0
-        ):
-            return self._write_plain(file, offset, data, size=size)
+        if integrity is None or not integrity.enabled or checksum is None or not len(data):
+            return self._write_plain(file, offset, data)
         if not integrity.spec.readback:
             # Record stored-CRC metadata but defer verification to the
             # scrub pass (corruption then surfaces only at scrub time).
@@ -170,7 +165,7 @@ class ParallelFileSystem:
         )
         return done
 
-    def _commit_verify_driver(self, file: SimFile, offset: int, data: np.ndarray,
+    def _commit_verify_driver(self, file: SimFile, offset: int, data,
                               checksum: int, done: Event):
         """write → compare stored-CRC metadata → (repair-mode) rewrite.
 
@@ -223,21 +218,11 @@ class ParallelFileSystem:
         self,
         file: SimFile,
         offset: int,
-        data: np.ndarray | None,
-        size: int | None = None,
+        data,
         carried_crc: int | None = None,
     ) -> Event:
         """The raw striped write (commit-time corruption draws included)."""
-        if data is None:
-            if size is None:
-                raise FileSystemError("size is required when data is None")
-            size = int(size)
-        else:
-            if data.dtype != np.uint8:
-                raise FileSystemError(f"write data must be uint8, got {data.dtype}")
-            if size is not None and int(size) != data.size:
-                raise FileSystemError(f"size={size} does not match data of {data.size} bytes")
-            size = int(data.size)
+        size = len(data)
         self.bytes_written += size
         if size == 0:
             done = self.engine.event()
@@ -306,18 +291,17 @@ class ParallelFileSystem:
                 torn = injector.torn_write(size)
                 if torn is not None:
                     keep = torn
-            if data is not None:
-                file.write(offset, data if keep == size else data[:keep])
-            else:
-                file.note_size(offset + keep)
+            file.write(offset, data if keep == size else data[:keep])
             flipped = False
             if injector is not None:
                 pos = injector.storage_corruption(size)
-                if pos is not None and data is not None and pos < keep:
-                    stored = file.read(offset + pos, 1)
-                    file.write(offset + pos, stored ^ np.uint8(1 << (pos & 7)))
+                if pos is not None and pos < keep:
+                    stored = zeros(1, like=data)
+                    file.read_into(offset + pos, stored)
+                    flip(stored, 0, bit=pos & 7)
+                    file.write(offset + pos, stored)
                     flipped = True
-            if carried_crc is not None and data is not None:
+            if carried_crc is not None:
                 # Stored-CRC metadata: the clean case reuses the carried
                 # checksum (no byte pass); only a mangling commit (torn
                 # prefix, bit-flip) checksums what actually landed.
@@ -335,12 +319,15 @@ class ParallelFileSystem:
         done.callbacks.insert(0, commit)
         return done
 
-    def read(self, file: SimFile, offset: int, size: int) -> tuple[Event, np.ndarray]:
-        """Submit a read; returns ``(completion_event, out_buffer)``.
+    def read(self, file: SimFile, offset: int, dest) -> Event:
+        """Submit a read of ``len(dest)`` bytes into ``dest``; returns the
+        completion event.
 
-        The returned buffer is filled immediately (contents cannot change
-        mid-flight in our write-once workloads); the event models timing.
+        ``dest`` is filled in place when the read completes (see
+        :meth:`SimFile.read_into`; a size-only descriptor receives
+        nothing).
         """
+        size = len(dest)
         per_target = self.layout.bytes_per_target(
             offset, size, down=frozenset(self.known_down)
         )
@@ -356,7 +343,8 @@ class ParallelFileSystem:
         done = all_of(self.engine, piece_events)
         if span is not None:
             done.callbacks.append(lambda evt, _s=span: self.recorder.end(_s, evt.engine.now))
-        return done, file.read(offset, size)
+        done.callbacks.append(lambda _evt: file.read_into(offset, dest))
+        return done
 
     # -- accounting ---------------------------------------------------------
     def per_target_bytes(self) -> list[int]:

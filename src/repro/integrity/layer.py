@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.integrity.checksum import extent_checksum
 from repro.integrity.report import ScrubReport
 from repro.integrity.spec import IntegritySpec
 
@@ -116,17 +115,25 @@ class IntegrityLayer:
         are not re-read in that case.
         """
         key = (path, int(offset), int(nbytes))
-        if checksum is None:
-            crc = extent_checksum(payload)
-            self.checksum_computed += 1
-        else:
-            crc = checksum
-            self.checksum_reused += 1
+        crc = self.carried(payload, checksum)
         self.manifest[key] = (crc, rank)
         self.extents_recorded += 1
         if self.spec.repairs:
             self._escrow[key] = np.array(payload, dtype=np.uint8, copy=True)
         return crc
+
+    def carried(self, payload, checksum: int | None = None) -> int | None:
+        """The CRC-32 ``payload`` travels with: the producer's ``checksum``
+        when it holds one (a reuse), else one computed now (None for a
+        size-only payload, which has no bytes to checksum)."""
+        from repro.payload import crc  # local: repro.payload imports this package
+
+        if checksum is None:
+            checksum = crc(payload)
+            self.checksum_computed += checksum is not None
+        else:
+            self.checksum_reused += 1
+        return checksum
 
     def entries_for(self, path: str, rank: int) -> list[tuple[int, int, int]]:
         """This rank's recorded extents of ``path``: (offset, nbytes, crc)."""

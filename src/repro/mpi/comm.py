@@ -31,28 +31,13 @@ import numpy as np
 
 from repro.errors import MPIError
 from repro.mpi.request import Request
+from repro.payload import Sized, as_payload
 from repro.sim.primitives import all_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import World
 
 __all__ = ["Communicator"]
-
-
-def _as_payload(data: np.ndarray | bytes | None, size: int | None) -> tuple[np.ndarray | None, int]:
-    """Normalize (data, size) into (uint8 payload or None, byte count)."""
-    if data is None:
-        if size is None:
-            raise MPIError("either data or size must be given")
-        return None, int(size)
-    if isinstance(data, (bytes, bytearray)):
-        data = np.frombuffer(bytes(data), dtype=np.uint8)
-    if not isinstance(data, np.ndarray):
-        raise MPIError(f"payload must be ndarray/bytes/None, got {type(data).__name__}")
-    view = data.reshape(-1).view(np.uint8)
-    if size is not None and int(size) != view.size:
-        raise MPIError(f"size={size} does not match payload of {view.size} bytes")
-    return view, view.size
 
 
 class Communicator:
@@ -90,8 +75,7 @@ class Communicator:
         self,
         dest: int,
         tag: int,
-        data: np.ndarray | bytes | None = None,
-        size: int | None = None,
+        data: np.ndarray | bytes | Sized,
         context: str = "pt2pt",
         readonly: bool = False,
         checksum: int | None = None,
@@ -99,6 +83,8 @@ class Communicator:
     ):
         """Non-blocking send.  ``yield from``; returns a :class:`Request`.
 
+        ``data`` is the payload: real bytes, or a
+        :class:`~repro.payload.Sized` descriptor (same timing, no bytes).
         ``readonly=True`` promises the payload buffer is not mutated until
         the message has fully arrived; the eager path then keeps a
         reference instead of its buffered-semantics snapshot (zero-copy).
@@ -109,14 +95,14 @@ class Communicator:
         holds the payload's CRC-32 (and per-piece CRCs) ship it with the
         message instead of having the runtime recompute it at post time.
         """
-        payload, nbytes = _as_payload(data, size)
+        payload = as_payload(data)
         self._check_peer(dest)
         rt = self._runtime
         rt.enter_progress()
         try:
             yield self.engine.timeout(self._spec.mpi_call_overhead)
             op = rt.start_send(
-                dest, tag, nbytes, payload, context, readonly=readonly,
+                dest, tag, payload, context, readonly=readonly,
                 checksum=checksum, piece_checksums=piece_checksums,
             )
         finally:
@@ -127,29 +113,24 @@ class Communicator:
         self,
         source: int,
         tag: int,
-        buffer: np.ndarray | None = None,
-        size: int | None = None,
+        buffer: np.ndarray | Sized,
         context: str = "pt2pt",
     ):
-        """Non-blocking receive.  ``yield from``; returns a :class:`Request`.
+        """Non-blocking receive into ``buffer`` (a ``uint8`` array, or a
+        :class:`~repro.payload.Sized` descriptor).  ``yield from``; returns a
+        :class:`Request`.  A longer message fails the request.
 
         Posting pays the unexpected-queue scan cost — the longer the
         receiver's backlog, the more expensive this call (paper, III-B1).
         """
-        if buffer is not None:
-            if buffer.dtype != np.uint8:
-                raise MPIError(f"receive buffer must be uint8, got {buffer.dtype}")
-            nbytes = buffer.size if size is None else int(size)
-        else:
-            if size is None:
-                raise MPIError("either buffer or size must be given")
-            nbytes = int(size)
+        if buffer.dtype != np.uint8:
+            raise MPIError(f"receive buffer must be uint8, got {buffer.dtype}")
         self._check_peer(source)
         rt = self._runtime
         rt.enter_progress()
         try:
             yield self.engine.timeout(self._spec.mpi_call_overhead + rt.match_cost())
-            op = rt.post_recv(source, tag, nbytes, buffer, context)
+            op = rt.post_recv(source, tag, buffer, context)
         finally:
             rt.exit_progress()
         return Request(op.event, "recv", op)
@@ -169,13 +150,13 @@ class Communicator:
             rt.exit_progress()
 
     def send(
-        self, dest: int, tag: int, data=None, size=None, context: str = "pt2pt",
+        self, dest: int, tag: int, data, context: str = "pt2pt",
         readonly: bool = False, checksum: int | None = None,
         piece_checksums: tuple | None = None,
     ):
         """Blocking send (isend + wait)."""
         req = yield from self.isend(
-            dest, tag, data=data, size=size, context=context, readonly=readonly,
+            dest, tag, data, context=context, readonly=readonly,
             checksum=checksum, piece_checksums=piece_checksums,
         )
         yield from self.wait(req)
@@ -184,12 +165,11 @@ class Communicator:
         self,
         source: int,
         tag: int,
-        buffer: np.ndarray | None = None,
-        size: int | None = None,
+        buffer: np.ndarray | Sized,
         context: str = "pt2pt",
     ):
         """Blocking receive (irecv + wait); returns the buffer."""
-        req = yield from self.irecv(source, tag, buffer=buffer, size=size, context=context)
+        req = yield from self.irecv(source, tag, buffer, context=context)
         yield from self.wait(req)
         return buffer
 
@@ -239,9 +219,11 @@ class Communicator:
     # ------------------------------------------------------------------
     # One-sided communication
     # ------------------------------------------------------------------
-    def win_allocate(self, size: int):
+    def win_allocate(self, size: int, like=None):
         """Collectively create an RMA window (``size`` bytes on this rank).
 
+        ``like`` is a payload the memory is modelled on: a
+        :class:`~repro.payload.Sized` descriptor exposes size-only memory.
         Returns this rank's :class:`~repro.mpi.window.WindowHandle`.
         """
         rt = self._runtime
@@ -250,7 +232,7 @@ class Communicator:
             yield self.engine.timeout(self._spec.mpi_call_overhead)
             self._coll_seq += 1
             win_id = self._coll_seq
-            handle = self.world.window_registry.attach(win_id, self.rank, int(size))
+            handle = self.world.window_registry.attach(win_id, self.rank, int(size), like)
             evt = self.world.coll.enter(win_id, "win_allocate", self.rank, nbytes=int(size))
             yield evt
         finally:

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.errors import WriteTimeoutError
 from repro.mpi.request import Request
+from repro.payload import Sized, as_payload
 from repro.sim.primitives import any_of, defuse
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,20 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["MPIFile"]
 
 
-def _as_bytes(data: np.ndarray | None, size: int | None) -> tuple[np.ndarray | None, int]:
-    if data is None:
-        if size is None:
-            raise ValueError("either data or size is required")
-        return None, int(size)
-    view = data.reshape(-1).view(np.uint8)
-    return view, view.size
-
-
 class MPIFile:
     """One rank's handle on a shared file (open via ``comm.file_open``).
 
-    Write calls accept either real ``data`` (bytes are stored — the
-    default for correctness tests) or ``data=None`` with ``size`` for
+    Every write and read takes one payload: real bytes (stored, or
+    filled in place), or a :class:`~repro.payload.Sized` descriptor for
     size-only timing runs.
     """
 
@@ -62,8 +54,7 @@ class MPIFile:
     def write_at(
         self,
         offset: int,
-        data: np.ndarray | None = None,
-        size: int | None = None,
+        data: np.ndarray | Sized,
         timeout: float | None = None,
         checksum: int | None = None,
     ):
@@ -78,10 +69,10 @@ class MPIFile:
         the file system's read-back verify (see
         :meth:`repro.fs.pfs.ParallelFileSystem.write`).
         """
-        view, nbytes = _as_bytes(data, size)
-        self.bytes_written += nbytes
+        view = as_payload(data)
+        self.bytes_written += len(view)
         self.sync_writes += 1
-        done = self.pfs.write(self.file, offset, view, size=nbytes, checksum=checksum)
+        done = self.pfs.write(self.file, offset, view, checksum=checksum)
         if timeout is None:
             yield from self.comm.io_wait(done, setup_cost=self.pfs.spec.client_overhead)
             return
@@ -97,8 +88,7 @@ class MPIFile:
     def iwrite_at(
         self,
         offset: int,
-        data: np.ndarray | None = None,
-        size: int | None = None,
+        data: np.ndarray | Sized,
         checksum: int | None = None,
     ):
         """Asynchronous write; returns a :class:`Request` immediately.
@@ -106,8 +96,8 @@ class MPIFile:
         The posting cost is an MPI call (progress window); the I/O itself
         is progressed by the simulated OS.
         """
-        view, nbytes = _as_bytes(data, size)
-        self.bytes_written += nbytes
+        view = as_payload(data)
+        self.bytes_written += len(view)
         self.async_writes += 1
         world = self.comm.world
         rt = world.runtime(self.comm.rank)
@@ -116,7 +106,7 @@ class MPIFile:
             yield world.engine.timeout(
                 world.cluster.spec.mpi_call_overhead + self.pfs.spec.client_overhead
             )
-            req = self.aio.submit(self.file, offset, view, size=nbytes, checksum=checksum)
+            req = self.aio.submit(self.file, offset, view, checksum=checksum)
         finally:
             rt.exit_progress()
         return Request(req.event, "iwrite", req)
@@ -125,8 +115,7 @@ class MPIFile:
         self,
         scheduler,
         offset: int,
-        data: np.ndarray | None = None,
-        size: int | None = None,
+        data: np.ndarray | Sized,
         cycle: int = -1,
         on_drained=None,
         checksum: int | None = None,
@@ -139,11 +128,11 @@ class MPIFile:
         durability; the tier's drain scheduler lands them on the PFS in
         the background and fires ``on_drained`` then.
         """
-        view, nbytes = _as_bytes(data, size)
-        self.bytes_written += nbytes
+        view = as_payload(data)
+        self.bytes_written += len(view)
         self.sync_writes += 1
         done = scheduler.absorb(
-            self.file, offset, view, nbytes, rank=self.comm.rank,
+            self.file, offset, view, rank=self.comm.rank,
             cycle=cycle, on_drained=on_drained, checksum=checksum,
         )
         yield from self.comm.io_wait(done, setup_cost=self.pfs.spec.client_overhead)
@@ -152,8 +141,7 @@ class MPIFile:
         self,
         scheduler,
         offset: int,
-        data: np.ndarray | None = None,
-        size: int | None = None,
+        data: np.ndarray | Sized,
         cycle: int = -1,
         on_drained=None,
         checksum: int | None = None,
@@ -165,8 +153,8 @@ class MPIFile:
         when the absorb finishes — drain durability is signalled via
         ``on_drained``.
         """
-        view, nbytes = _as_bytes(data, size)
-        self.bytes_written += nbytes
+        view = as_payload(data)
+        self.bytes_written += len(view)
         self.async_writes += 1
         world = self.comm.world
         rt = world.runtime(self.comm.rank)
@@ -176,23 +164,22 @@ class MPIFile:
                 world.cluster.spec.mpi_call_overhead + self.pfs.spec.client_overhead
             )
             done = scheduler.absorb(
-                self.file, offset, view, nbytes, rank=self.comm.rank,
+                self.file, offset, view, rank=self.comm.rank,
                 cycle=cycle, on_drained=on_drained, checksum=checksum,
             )
         finally:
             rt.exit_progress()
         return Request(done, "istage")
 
-    def read_at(self, offset: int, size: int):
-        """Blocking read; returns the bytes (zeros past EOF)."""
-        done, out = self.pfs.read(self.file, offset, size)
+    def read_at(self, offset: int, dest: np.ndarray | Sized):
+        """Blocking read of ``len(dest)`` bytes into ``dest`` (zeros past EOF)."""
+        done = self.pfs.read(self.file, offset, dest)
         yield from self.comm.io_wait(done, setup_cost=self.pfs.spec.client_overhead)
-        return out
 
-    def iread_at(self, offset: int, size: int):
-        """Asynchronous read; returns ``(Request, buffer)``.
+    def iread_at(self, offset: int, dest: np.ndarray | Sized):
+        """Asynchronous read into ``dest``; returns a :class:`Request`.
 
-        The buffer is filled once the request completes (wait on it with
+        ``dest`` is filled once the request completes (wait on it with
         the communicator's ``wait``, which also drives MPI progress).
         """
         world = self.comm.world
@@ -202,10 +189,10 @@ class MPIFile:
             yield world.engine.timeout(
                 world.cluster.spec.mpi_call_overhead + self.pfs.spec.client_overhead
             )
-            req, out = self.aio.submit_read(self.file, offset, size)
+            req = self.aio.submit_read(self.file, offset, dest)
         finally:
             rt.exit_progress()
-        return Request(req.event, "iread", req), out
+        return Request(req.event, "iread", req)
 
     # ------------------------------------------------------------------
     # Collective I/O (MPI_File_set_view + Write_all / Read_all)
@@ -263,15 +250,16 @@ class MPIFile:
 
     def write_all(
         self,
-        data: np.ndarray | None = None,
+        data: np.ndarray | Sized,
         algorithm: str = "write_overlap",
         shuffle: str = "two_sided",
         config=None,
     ):
         """Collective write through the declared view (``MPI_File_write_all``).
 
-        Every rank must call this with its own data after ``set_view``.
-        Returns the rank's phase statistics.
+        Every rank must call this with its own data after ``set_view``
+        (a :class:`~repro.payload.Sized` for a size-only run).  Returns
+        the rank's phase statistics.
         """
         from repro.collio.api import WRITE
 
@@ -279,15 +267,15 @@ class MPIFile:
 
     def read_all(
         self,
-        out: np.ndarray | None = None,
+        out: np.ndarray | Sized,
         algorithm: str = "read_ahead",
         scatter: str = "two_sided",
         config=None,
     ):
         """Collective read through the declared view (``MPI_File_read_all``).
 
-        Fills ``out`` (or runs size-only when ``out is None``); returns
-        the rank's phase statistics.
+        Fills ``out`` (a :class:`~repro.payload.Sized` runs size-only);
+        returns the rank's phase statistics.
         """
         from repro.collio.read import READ
 

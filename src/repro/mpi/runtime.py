@@ -33,8 +33,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.errors import CorruptDataError, MPIError, RankCrashError
 from repro.integrity.checksum import extent_checksum
 from repro.mpi.message import (
@@ -44,6 +42,7 @@ from repro.mpi.message import (
     Message,
     Protocol,
 )
+from repro.payload import flip, place, snapshot
 from repro.sim.engine import Event
 from repro.sim.primitives import defuse
 
@@ -69,16 +68,9 @@ class RecvOp:
 
     __slots__ = ("key", "size", "buffer", "event", "posted_at", "checksum", "piece_checksums")
 
-    def __init__(
-        self,
-        key: MatchKey,
-        size: int,
-        buffer: np.ndarray | None,
-        event: Event,
-        posted_at: float,
-    ) -> None:
+    def __init__(self, key: MatchKey, buffer, event: Event, posted_at: float) -> None:
         self.key = key
-        self.size = size
+        self.size = buffer.size
         self.buffer = buffer
         self.event = event
         self.posted_at = posted_at
@@ -87,12 +79,9 @@ class RecvOp:
         self.checksum: int | None = None
         self.piece_checksums: tuple | None = None
 
-    def deliver_payload(self, payload: np.ndarray | None) -> None:
+    def deliver_payload(self, payload) -> None:
         """Copy an arrived payload into the user buffer (byte-accurate)."""
-        if payload is None or self.buffer is None:
-            return
-        n = min(len(payload), len(self.buffer))
-        self.buffer[:n] = payload[:n]
+        place(self.buffer, ((0, len(payload)),), payload)
 
 
 class RankRuntime:
@@ -211,8 +200,7 @@ class RankRuntime:
         self,
         dst: int,
         tag: int,
-        size: int,
-        payload: np.ndarray | None,
+        payload,
         context: str,
         readonly: bool = False,
         checksum: int | None = None,
@@ -230,6 +218,7 @@ class RankRuntime:
         """
         eng = self.world.engine
         event = eng.event()
+        size = len(payload)
         protocol = Protocol.EAGER if size < self.eager_threshold else Protocol.RENDEZVOUS
         msg = Message(
             src=self.rank, dst=dst, tag=tag, context=context, size=size,
@@ -241,13 +230,8 @@ class RankRuntime:
         # The receiver verifies it after delivery — the checksummed
         # datapath's first hop.
         integrity = self.world.integrity
-        if payload is not None and integrity is not None:
-            if checksum is not None:
-                msg.checksum = checksum
-                integrity.checksum_reused += 1
-            else:
-                msg.checksum = extent_checksum(payload)
-                integrity.checksum_computed += 1
+        if integrity is not None:
+            msg.checksum = integrity.carried(payload, checksum)
             msg.piece_checksums = piece_checksums
         op = SendOp(msg, event, eng.now)
         msg.sent = event
@@ -261,13 +245,10 @@ class RankRuntime:
             # receive side copies into the user buffer either way.  The
             # snapshot block comes from this node's buffer pool (released
             # at terminal delivery), so the hot path stops allocating.
-            if payload is None or readonly:
-                msg.payload = payload
-            else:
-                snap = self.world.buffer_pool(self.node).take(payload.size)
-                snap[:] = payload
-                msg.payload = snap
-                msg.pooled = True
+            msg.payload = payload
+            if not readonly:
+                msg.payload = snapshot(payload, alloc=self.world.buffer_pool(self.node).take)
+                msg.pooled = msg.payload is not payload
             transfer = fabric.transfer(self.node, dst_rt.node, size + MESSAGE_HEADER_SIZE)
             dst_rt._deliver(transfer, lambda: dst_rt._eager_arrived(msg))
             event.succeed(eng.now)
@@ -291,14 +272,13 @@ class RankRuntime:
         self,
         src: int,
         tag: int,
-        size: int,
-        buffer: np.ndarray | None,
+        buffer,
         context: str,
     ) -> RecvOp:
         """Post a receive; match against the unexpected queue first."""
         eng = self.world.engine
         key = MatchKey(context, src, tag)
-        op = RecvOp(key, size, buffer, eng.event(), eng.now)
+        op = RecvOp(key, buffer, eng.event(), eng.now)
         queue = self.unexpected.get(key)
         if queue:
             msg = queue.popleft()
@@ -408,7 +388,16 @@ class RankRuntime:
         event, preserving the historical ordering).  Without an injector
         or integrity layer this is exactly ``deliver_payload`` +
         ``succeed`` — no extra draws, no extra events.
+
+        A message longer than the posted buffer fails the receive
+        (``MPI_ERR_TRUNCATE``) before any byte lands.
         """
+        if msg.size > op.size:
+            self._fail_recv(op, msg, sender_event, MPIError(
+                f"message {msg.src}->{msg.dst} (tag {msg.tag}) of {msg.size} bytes "
+                f"truncated: the posted receive holds {op.size} bytes"
+            ))
+            return
         op.deliver_payload(msg.payload)
         injector = self.world.faults
         if injector is not None:
@@ -417,15 +406,10 @@ class RankRuntime:
             # itself fires in size-only mode too, so fault schedules are
             # identical whether or not payload bytes move.
             pos = injector.message_corruption(self.rank, msg.size)
-            if pos is not None and op.buffer is not None and pos < op.buffer.size:
-                op.buffer[pos] ^= 1 << (pos & 7)
+            if pos is not None:
+                flip(op.buffer, pos)
         integrity = self.world.integrity
-        if (
-            integrity is not None
-            and msg.checksum is not None
-            and op.buffer is not None
-            and op.buffer.size >= msg.size
-        ):
+        if integrity is not None and msg.checksum is not None:
             # The one unavoidable byte pass per network hop: the receiver
             # must prove the *landed* copy matches the carried CRC.
             integrity.checksum_computed += 1
@@ -439,21 +423,10 @@ class RankRuntime:
                 ):
                     self._request_retransmit(op, msg, attempt, sender_event)
                     return
-                now = self.world.engine.now
-                if sender_event is not None:
-                    sender_event.succeed(now)
-                self._release_payload(msg)
-                # Defused: the failure is for the rank that waits on this
-                # recv, not for the engine — the waiter may not have
-                # yielded on the event yet (nonblocking irecv).
-                defuse(
-                    op.event.fail(
-                        CorruptDataError(
-                            f"message {msg.src}->{msg.dst} (tag {msg.tag}) failed "
-                            f"checksum verification after {attempt + 1} delivery(s)"
-                        )
-                    )
-                )
+                self._fail_recv(op, msg, sender_event, CorruptDataError(
+                    f"message {msg.src}->{msg.dst} (tag {msg.tag}) failed "
+                    f"checksum verification after {attempt + 1} delivery(s)"
+                ))
                 return
             if attempt:
                 integrity.note("repaired")
@@ -465,6 +438,17 @@ class RankRuntime:
             sender_event.succeed(now)
         self._release_payload(msg)
         op.event.succeed(now)
+
+    def _fail_recv(self, op: RecvOp, msg: Message, sender_event: Event | None,
+                   error: Exception) -> None:
+        """Terminal failure of one receive; the sender's op still completes."""
+        if sender_event is not None and not sender_event.triggered:
+            sender_event.succeed(self.world.engine.now)
+        self._release_payload(msg)
+        # Defused: the failure is for the rank that waits on this recv,
+        # not for the engine — the waiter may not have yielded on the
+        # event yet (nonblocking irecv).
+        defuse(op.event.fail(error))
 
     def _request_retransmit(
         self,
@@ -493,18 +477,10 @@ class RankRuntime:
                 # pristine bytes are gone with it.  Fail the receive —
                 # the recovery layer's re-election replays the extent
                 # from the respawned rank's data.
-                now = self.world.engine.now
-                if sender_event is not None and not sender_event.triggered:
-                    sender_event.succeed(now)
-                self._release_payload(msg)
-                defuse(
-                    op.event.fail(
-                        CorruptDataError(
-                            f"message {msg.src}->{msg.dst} (tag {msg.tag}) corrupt "
-                            f"and source rank {msg.src} is dead"
-                        )
-                    )
-                )
+                self._fail_recv(op, msg, sender_event, CorruptDataError(
+                    f"message {msg.src}->{msg.dst} (tag {msg.tag}) corrupt "
+                    f"and source rank {msg.src} is dead"
+                ))
                 return
             data = fabric.transfer(
                 src_rt.node, self.node, msg.size + MESSAGE_HEADER_SIZE

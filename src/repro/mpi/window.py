@@ -15,7 +15,9 @@ Model summary (and how it carries the paper's physics):
   Target-side completion knowledge still requires an ``MPI_Barrier`` in
   the calling algorithm, exactly as the paper describes.
 
-Window memory is byte-accurate: puts land in real numpy buffers.
+Window memory is byte-accurate: puts land in real numpy buffers (or in
+:class:`~repro.payload.Sized` descriptors in size-only runs, where no byte
+moves).
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import CorruptDataError, RMAError
 from repro.integrity.checksum import ChecksumLedger, extent_checksum
 from repro.mpi.message import MESSAGE_HEADER_SIZE
+from repro.payload import as_payload, flip, place, zeros
 from repro.sim.engine import Event
 from repro.sim.primitives import all_of, defuse
 
@@ -92,9 +93,8 @@ class Window:
         self.world = world
         self.win_id = win_id
         self.sizes = sizes
-        self.buffers: dict[int, np.ndarray] = {
-            rank: np.zeros(size, dtype=np.uint8) for rank, size in sizes.items() if size > 0
-        }
+        #: Exposed memory of every rank with a nonzero window.
+        self.buffers: dict = {}
         #: outstanding put completion events: (origin, target) -> [Event]
         self._outstanding: dict[tuple[int, int], list[Event]] = {}
         self.locks: dict[int, _TargetLock] = {}
@@ -113,7 +113,7 @@ class Window:
             self.ledgers[target] = led
         return led
 
-    def buffer(self, rank: int) -> np.ndarray:
+    def buffer(self, rank: int):
         buf = self.buffers.get(rank)
         if buf is None:
             raise RMAError(f"rank {rank} exposes a zero-size window")
@@ -152,7 +152,7 @@ class WindowHandle:
 
     # -- local memory ------------------------------------------------------
     @property
-    def local_buffer(self) -> np.ndarray:
+    def local_buffer(self):
         """This rank's exposed memory (raises if size 0)."""
         return self.window.buffer(self.rank)
 
@@ -164,9 +164,8 @@ class WindowHandle:
     def put(
         self,
         target: int,
-        data: np.ndarray | None,
+        data,
         target_offset: int,
-        size: int | None = None,
         checksum: int | None = None,
         file_offset: int | None = None,
     ):
@@ -176,8 +175,9 @@ class WindowHandle:
         tracked in the window's epoch state for fence/unlock).  No
         target-side progress is needed; the bytes are sampled when the
         transfer completes (zero-copy semantics — keep the source buffer
-        stable until the closing synchronization).  ``data=None`` +
-        ``size`` selects size-only mode (same timing, no bytes land).
+        stable until the closing synchronization).  A
+        :class:`~repro.payload.Sized` ``data`` has the same timing and
+        lands no bytes.
 
         ``checksum`` is the piece's producer CRC-32 when the origin
         already holds it (skips the post-time byte pass); ``file_offset``
@@ -187,14 +187,8 @@ class WindowHandle:
         """
         world = self.comm.world
         spec = world.cluster.spec
-        if data is None:
-            if size is None:
-                raise RMAError("size is required when data is None")
-            view = None
-            nbytes = int(size)
-        else:
-            view = data.reshape(-1).view(np.uint8)
-            nbytes = view.size
+        view = as_payload(data)
+        nbytes = len(view)
         target_buf = self.window.buffer(target)
         if target_offset < 0 or target_offset + nbytes > target_buf.size:
             raise RMAError(
@@ -212,10 +206,10 @@ class WindowHandle:
             injector = world.faults
             integrity = world.integrity
             off = int(target_offset)
+            landed = target_buf[off : off + nbytes]
 
-            def land(_evt, view=view) -> None:
-                if view is not None:
-                    target_buf[off : off + view.size] = view
+            def land(_evt) -> None:
+                place(landed, ((0, nbytes),), view)
                 # Silent-corruption draw at landing.  The draw fires in
                 # size-only mode too (schedule parity across modes); the
                 # flip needs real bytes.  Corruption hits the *target*
@@ -223,12 +217,14 @@ class WindowHandle:
                 # retransmission is a valid repair.
                 if injector is not None:
                     pos = injector.message_corruption(target, nbytes)
-                    if pos is not None and view is not None:
-                        target_buf[off + pos] ^= 1 << (pos & 7)
+                    if pos is not None:
+                        flip(landed, pos)
 
-            if integrity is None or view is None:
-                if view is not None or injector is not None:
-                    transfer.callbacks.append(land)
+            # The producer CRC the landing verifies (None without a layer,
+            # or for a size-only payload: no bytes, nothing to checksum).
+            crc32 = None if integrity is None else integrity.carried(view, checksum)
+            if crc32 is None:
+                transfer.callbacks.append(land)
                 self.window.track(self.rank, target, transfer)
                 completion = transfer
             else:
@@ -241,23 +237,17 @@ class WindowHandle:
                 # completion fails with CorruptDataError, which fence /
                 # unlock / wait propagate to the calling rank.
                 completion = world.engine.event()
-                if checksum is not None:
-                    crc = checksum
-                    integrity.checksum_reused += 1
-                else:
-                    crc = extent_checksum(view)
-                    integrity.checksum_computed += 1
 
                 def verify_land(_evt, attempt: int = 0) -> None:
                     land(_evt)
                     # The per-hop verify byte pass over the landed copy.
                     integrity.checksum_computed += 1
-                    actual = extent_checksum(target_buf[off : off + nbytes])
-                    if actual == crc:
+                    actual = extent_checksum(landed)
+                    if actual == crc32:
                         if attempt:
                             integrity.note("repaired")
                         if file_offset is not None:
-                            self.window.ledger(target).file(file_offset, nbytes, crc)
+                            self.window.ledger(target).file(file_offset, nbytes, crc32)
                         completion.succeed(world.engine.now)
                         return
                     integrity.note("detected")
@@ -292,25 +282,20 @@ class WindowHandle:
     def get(
         self,
         target: int,
-        local_buffer: np.ndarray | None,
+        local_buffer,
         target_offset: int,
-        size: int | None = None,
     ):
         """Non-blocking Get from ``target``'s window.  ``yield from``.
 
         The mirror of :meth:`put`: bytes flow target -> origin with no
         target-side CPU; the local buffer is filled when the transfer
         completes.  Returns the completion event (tracked in the epoch
-        state like puts, so fence/unlock flush it).
+        state like puts, so fence/unlock flush it).  A
+        :class:`~repro.payload.Sized` ``local_buffer`` receives no bytes.
         """
         world = self.comm.world
         spec = world.cluster.spec
-        if local_buffer is None:
-            if size is None:
-                raise RMAError("size is required when local_buffer is None")
-            nbytes = int(size)
-        else:
-            nbytes = int(local_buffer.size) if size is None else int(size)
+        nbytes = len(local_buffer)
         target_buf = self.window.buffer(target)
         if target_offset < 0 or target_offset + nbytes > target_buf.size:
             raise RMAError(
@@ -327,12 +312,10 @@ class WindowHandle:
                 nbytes + MESSAGE_HEADER_SIZE,
             )
             self.window.gets_issued += 1
-            if local_buffer is not None:
-
-                def land(_evt, buf=local_buffer, off=int(target_offset), n=nbytes) -> None:
-                    buf[:n] = target_buf[off : off + n]
-
-                transfer.callbacks.append(land)
+            source = target_buf[int(target_offset) : int(target_offset) + nbytes]
+            transfer.callbacks.append(
+                lambda _evt: place(local_buffer, ((0, nbytes),), source)
+            )
             self.window.track(self.rank, target, transfer)
         finally:
             rt.exit_progress()
@@ -398,7 +381,9 @@ class WindowRegistry:
         self._windows: dict[int, Window] = {}
         self._declared: dict[int, dict[int, int]] = {}
 
-    def attach(self, win_id: int, rank: int, size: int) -> WindowHandle:
+    def attach(self, win_id: int, rank: int, size: int, like=None) -> WindowHandle:
+        """Join ``rank`` to window ``win_id`` with ``size`` bytes of memory
+        modelled on ``like`` (see :meth:`Communicator.win_allocate`)."""
         sizes = self._declared.setdefault(win_id, {})
         if rank in sizes:
             raise RMAError(f"rank {rank} attached window {win_id} twice")
@@ -407,10 +392,8 @@ class WindowRegistry:
         if window is None:
             window = Window(self.world, win_id, sizes)
             self._windows[win_id] = window
-        else:
-            # Late-arriving ranks with nonzero windows get buffers too.
-            if size > 0 and rank not in window.buffers:
-                window.buffers[rank] = np.zeros(size, dtype=np.uint8)
+        if size > 0:
+            window.buffers[rank] = zeros(size, like=like)
         return WindowHandle(window, self.world.comm(rank))
 
     def close(self) -> None:

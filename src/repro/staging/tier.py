@@ -43,10 +43,9 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.errors import ConfigurationError, CorruptDataError, FileSystemError
 from repro.integrity.checksum import extent_checksum
+from repro.payload import as_payload, flip, snapshot
 from repro.sim.engine import Engine, Event
 from repro.sim.resources import ServerQueue
 from repro.staging.spec import StagingSpec
@@ -76,11 +75,11 @@ class _StagedExtent:
         "file", "offset", "data", "nbytes", "rank", "cycle", "on_drained", "checksum",
     )
 
-    def __init__(self, file, offset, data, nbytes, rank, cycle, on_drained, checksum):
+    def __init__(self, file, offset, data, rank, cycle, on_drained, checksum):
         self.file = file
         self.offset = offset
         self.data = data
-        self.nbytes = nbytes
+        self.nbytes = len(data)
         self.rank = rank
         self.cycle = cycle
         self.on_drained = on_drained
@@ -168,14 +167,13 @@ class DrainScheduler:
         self,
         file: "SimFile",
         offset: int,
-        data: np.ndarray | None,
-        nbytes: int,
+        data,
         rank: int,
         cycle: int = -1,
         on_drained: Callable[[], None] | None = None,
         checksum: int | None = None,
     ) -> Event:
-        """Stage one write; returns the absorb-completion event.
+        """Stage one write of payload ``data``; returns the absorb-completion event.
 
         The event succeeds (with the completion time as its value, like a
         PFS write) once the staging device holds the bytes; durability
@@ -185,7 +183,8 @@ class DrainScheduler:
         completed ``aio_write``.  A full buffer stalls the absorb
         (back-pressure) and force-starts a drain.
         """
-        nbytes = int(nbytes)
+        data = as_payload(data)
+        nbytes = len(data)
         if nbytes > self.buffer.capacity:
             raise ConfigurationError(
                 f"staged write of {nbytes} bytes exceeds the node buffer "
@@ -197,7 +196,7 @@ class DrainScheduler:
             if on_drained is not None:
                 on_drained()
             return done
-        ext = _StagedExtent(file, offset, data, nbytes, rank, cycle, on_drained, checksum)
+        ext = _StagedExtent(file, offset, data, rank, cycle, on_drained, checksum)
         self.engine.process(
             self._absorb_driver(ext, done), name=f"bb{self.node}.absorb"
         )
@@ -221,10 +220,9 @@ class DrainScheduler:
             )
         yield bb.absorb_queue.submit(ext.nbytes)
         self.recorder.end(span, self.engine.now)
-        if ext.data is not None:
-            # The device holds the bytes now; snapshot them so the caller
-            # may reuse its buffer (the PFS samples at drain completion).
-            ext.data = np.array(ext.data, dtype=np.uint8, copy=True)
+        # The device holds the bytes now; snapshot them so the caller may
+        # reuse its buffer (the PFS samples at drain completion).
+        ext.data = snapshot(ext.data)
         bb.absorbed_bytes += ext.nbytes
         bb.extents_absorbed += 1
         bb.pending.append(ext)
@@ -303,11 +301,11 @@ class DrainScheduler:
         def bitrot() -> None:
             if injector is not None:
                 pos = injector.staging_corruption(self.node, ext.nbytes)
-                if pos is not None and ext.data is not None:
-                    ext.data[pos] ^= 1 << (pos & 7)
+                if pos is not None:
+                    flip(ext.data, pos)
 
         bitrot()
-        if integrity is None or ext.checksum is None or ext.data is None:
+        if integrity is None or ext.checksum is None:
             return
         attempt = 0
         integrity.checksum_computed += 1
@@ -324,7 +322,7 @@ class DrainScheduler:
                     f"on node {self.node} failed checksum verification"
                 )
             integrity.note("refetch")
-            ext.data = np.array(source, dtype=np.uint8, copy=True)
+            ext.data = snapshot(source)
             yield self.buffer.absorb_queue.submit(ext.nbytes)
             attempt += 1
             bitrot()
@@ -336,10 +334,7 @@ class DrainScheduler:
         """One extent's PFS write, retrying transient faults and outages."""
         attempts = 0
         while True:
-            size = ext.nbytes if ext.data is None else None
-            done = self.pfs.write(
-                ext.file, ext.offset, ext.data, size=size, checksum=ext.checksum
-            )
+            done = self.pfs.write(ext.file, ext.offset, ext.data, checksum=ext.checksum)
             try:
                 yield done
                 return

@@ -18,6 +18,7 @@ from repro.errors import (
 )
 from repro.faults import FaultSpec, RetryPolicy
 from repro.mpi import World
+from repro.payload import Sized
 
 from tests.faults.conftest import small_cluster, small_fs
 
@@ -125,7 +126,7 @@ def test_dead_peer_write_failure_raises_deadlock():
                 yield from fh.write_at(0, np.ones(8192, dtype=np.uint8))
             except TransientWriteError:
                 return "bailed"  # dies without sending
-            yield from mpi.send(1, tag=9, size=64)
+            yield from mpi.send(1, tag=9, data=Sized(64))
             return "sent"
         buf = np.zeros(64, dtype=np.uint8)
         yield from mpi.recv(0, tag=9, buffer=buf)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import FileSystemError
 from repro.fs.file import SimFile
+from repro.payload import Sized
 
 
 def test_empty_file():
@@ -126,14 +127,15 @@ def test_release_drops_bytes_and_metadata():
 _OPS = st.one_of(
     st.tuples(st.just("write"), st.integers(0, 500), st.binary(max_size=100)),
     st.tuples(st.just("reserve"), st.integers(0, 800), st.none()),
-    st.tuples(st.just("note_size"), st.integers(0, 800), st.none()),
+    st.tuples(st.just("sized"), st.integers(0, 500), st.integers(0, 300)),
     st.tuples(st.just("read"), st.integers(0, 700), st.integers(0, 200)),
 )
 
 
 @given(ops=st.lists(_OPS, max_size=30))
 def test_reserve_write_read_note_size_match_reference_model(ops):
-    """A bytearray plus a size: ``reserve`` moves neither, holes read zero."""
+    """A bytearray plus a size: ``reserve`` moves neither, a size-only write
+    moves only the size, holes read zero."""
     f = SimFile("x")
     ref = bytearray()  # bytes ever stored, zero-extended
     size = 0
@@ -146,13 +148,17 @@ def test_reserve_write_read_note_size_match_reference_model(ops):
             size = max(size, end)
         elif op == "reserve":
             f.reserve(a)
-        elif op == "note_size":
-            f.note_size(a)
-            size = max(size, a)
+        elif op == "sized":
+            f.write(a, Sized(b))  # size-only: moves the size, stores nothing
+            size = max(size, a + b)
         else:
             want = bytes(ref[a : a + b]).ljust(b, b"\0")
             assert bytes(f.read(a, b)) == want
             assert bytes(f.stored(a, b)) == want
+            dest = np.ones(b, dtype=np.uint8)
+            f.read_into(a, dest)
+            assert bytes(dest) == want
+            f.read_into(a, Sized(b))  # a descriptor receives nothing
         assert f.size == size
     assert bytes(f.contents()) == bytes(ref[:size]).ljust(size, b"\0")
 

@@ -136,8 +136,8 @@ class TestRead:
 
         def proc(eng):
             yield pfs.write(f, 0, data)
-            done, out = pfs.read(f, 0, 100)
-            yield done
+            out = np.zeros(100, dtype=np.uint8)
+            yield pfs.read(f, 0, out)
             return out
 
         p = eng.process(proc(eng))

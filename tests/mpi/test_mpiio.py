@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.payload import Sized
+
 from tests.mpi.conftest import make_world
 
 
@@ -29,9 +31,9 @@ class TestBlockingWrite:
             handle = yield from mpi.file_open("/x")
             if mpi.rank == 0:
                 t0 = mpi.now
-                yield from mpi.send(1, tag=1, size=size)
+                yield from mpi.send(1, tag=1, data=Sized(size))
                 return mpi.now - t0
-            req = yield from mpi.irecv(0, tag=1, size=size)
+            req = yield from mpi.irecv(0, tag=1, buffer=Sized(size))
             # long blocking write: no MPI progress for its duration
             yield from handle.write_at(0, np.zeros(50_000_000, dtype=np.uint8))
             yield from mpi.wait(req)
@@ -75,7 +77,8 @@ class TestAsyncWrite:
             data = np.arange(5000, dtype=np.uint16).view(np.uint8)
             req = yield from fh.iwrite_at(100, data)
             yield from mpi.wait(req)
-            out = yield from fh.read_at(100, data.size)
+            out = np.zeros(data.size, dtype=np.uint8)
+            yield from fh.read_at(100, out)
             return out
 
         world = make_world(nprocs=1, fs=True)
@@ -90,9 +93,9 @@ class TestAsyncWrite:
         def program(mpi):
             fh = yield from mpi.file_open("/z")
             if mpi.rank == 0:
-                yield from mpi.send(1, tag=1, size=size)
+                yield from mpi.send(1, tag=1, data=Sized(size))
                 return mpi.now
-            req_recv = yield from mpi.irecv(0, tag=1, size=size)
+            req_recv = yield from mpi.irecv(0, tag=1, buffer=Sized(size))
             req_io = yield from fh.iwrite_at(0, np.zeros(50_000_000, dtype=np.uint8))
             yield from mpi.wait(req_io)  # progress active here
             yield from mpi.wait(req_recv)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MPIError
+from repro.payload import Sized
 
 from tests.mpi.conftest import make_world
 
@@ -49,11 +50,11 @@ class TestBasicTransfer:
     def test_protocol_selection_by_threshold(self):
         def program(mpi):
             if mpi.rank == 0:
-                yield from mpi.send(1, tag=1, size=EAGER - 1)
-                yield from mpi.send(1, tag=2, size=EAGER)
+                yield from mpi.send(1, tag=1, data=Sized(EAGER - 1))
+                yield from mpi.send(1, tag=2, data=Sized(EAGER))
             else:
-                yield from mpi.recv(0, tag=1, size=EAGER - 1)
-                yield from mpi.recv(0, tag=2, size=EAGER)
+                yield from mpi.recv(0, tag=1, buffer=Sized(EAGER - 1))
+                yield from mpi.recv(0, tag=2, buffer=Sized(EAGER))
 
         world, _ = run2(program)
         assert world.cluster.recorder.count("send.eager") == 1
@@ -64,9 +65,9 @@ class TestBasicTransfer:
 
         def program(mpi):
             if mpi.rank == 0:
-                yield from mpi.send(1, tag=1, size=10_000)
+                yield from mpi.send(1, tag=1, data=Sized(10_000))
             else:
-                yield from mpi.recv(0, tag=1, size=10_000)
+                yield from mpi.recv(0, tag=1, buffer=Sized(10_000))
             return mpi.now
 
         _, res = run2(program)
@@ -141,7 +142,7 @@ class TestMatching:
 
         def program(mpi):
             if mpi.rank == 1:
-                yield from mpi.recv(0, tag=99, size=10)
+                yield from mpi.recv(0, tag=99, buffer=Sized(10))
             else:
                 yield from mpi.compute(0.001)
 
@@ -150,10 +151,37 @@ class TestMatching:
 
     def test_peer_range_checked(self):
         def program(mpi):
-            yield from mpi.send(5, tag=0, size=10)
+            yield from mpi.send(5, tag=0, data=Sized(10))
 
         with pytest.raises(MPIError):
             run2(program)
+
+
+class TestTruncation:
+    """A message longer than its posted receive fails that receive, naming
+    both sizes (MPI_ERR_TRUNCATE), on all three delivery paths."""
+
+    @pytest.mark.parametrize(
+        "nbytes,recv_late",
+        [(EAGER // 2, False), (EAGER // 2, True), (4 * EAGER, False)],
+        ids=["eager", "unexpected", "rendezvous"],
+    )
+    def test_longer_message_fails_the_receive(self, nbytes, recv_late):
+        def program(mpi):
+            if mpi.rank == 0:
+                yield from mpi.send(1, tag=1, data=np.ones(nbytes, np.uint8))
+                return None
+            if recv_late:
+                yield from mpi.compute(0.01)  # the message lands unexpected
+            req = yield from mpi.irecv(0, tag=1, buffer=np.zeros(nbytes - 1, np.uint8))
+            try:
+                yield from mpi.wait(req)
+            except MPIError as exc:
+                return str(exc)
+            return "received"
+
+        _, res = run2(program)
+        assert f"{nbytes} bytes" in res[1] and f"{nbytes - 1} bytes" in res[1]
 
 
 class TestUnexpectedQueue:
@@ -178,11 +206,11 @@ class TestUnexpectedQueue:
         def program(mpi, nmsgs):
             if mpi.rank == 0:
                 for i in range(nmsgs):
-                    yield from mpi.send(1, tag=i, size=16)
+                    yield from mpi.send(1, tag=i, data=Sized(16))
                 return None
             yield from mpi.compute(0.01)  # everything lands unexpected
             t0 = mpi.now
-            yield from mpi.recv(0, tag=nmsgs - 1, size=16)
+            yield from mpi.recv(0, tag=nmsgs - 1, buffer=Sized(16))
             return mpi.now - t0
 
         _, few = run2(program, 2)
@@ -194,13 +222,13 @@ class TestUnexpectedQueue:
 
         def program(mpi):
             if mpi.rank == 0:
-                req = yield from mpi.isend(1, tag=1, size=64)
+                req = yield from mpi.isend(1, tag=1, data=Sized(64))
                 yield from mpi.wait(req)
                 done_at = mpi.now
                 yield from mpi.barrier()
                 return done_at
             yield from mpi.compute(0.5)
-            yield from mpi.recv(0, tag=1, size=64)
+            yield from mpi.recv(0, tag=1, buffer=Sized(64))
             yield from mpi.barrier()
             return None
 
@@ -216,9 +244,9 @@ class TestRendezvousProgress:
 
         def program(mpi):
             if mpi.rank == 0:
-                yield from mpi.send(1, tag=1, size=self.SIZE)
+                yield from mpi.send(1, tag=1, data=Sized(self.SIZE))
                 return mpi.now
-            req = yield from mpi.irecv(0, tag=1, size=self.SIZE)
+            req = yield from mpi.irecv(0, tag=1, buffer=Sized(self.SIZE))
             yield from mpi.compute(0.25)
             yield from mpi.wait(req)
             return mpi.now
@@ -229,9 +257,9 @@ class TestRendezvousProgress:
     def test_progress_thread_decouples(self):
         def program(mpi):
             if mpi.rank == 0:
-                yield from mpi.send(1, tag=1, size=self.SIZE)
+                yield from mpi.send(1, tag=1, data=Sized(self.SIZE))
                 return mpi.now
-            req = yield from mpi.irecv(0, tag=1, size=self.SIZE)
+            req = yield from mpi.irecv(0, tag=1, buffer=Sized(self.SIZE))
             yield from mpi.compute(0.25)
             yield from mpi.wait(req)
             return mpi.now
@@ -246,9 +274,9 @@ class TestRendezvousProgress:
         def program(mpi):
             if mpi.rank == 0:
                 yield from mpi.compute(0.1)  # stagger the send
-                yield from mpi.send(1, tag=1, size=self.SIZE)
+                yield from mpi.send(1, tag=1, data=Sized(self.SIZE))
                 return mpi.now
-            yield from mpi.recv(0, tag=1, size=self.SIZE)
+            yield from mpi.recv(0, tag=1, buffer=Sized(self.SIZE))
             return mpi.now
 
         _, res = run2(program)
@@ -290,27 +318,6 @@ class TestRendezvousProgress:
 
 
 class TestValidation:
-    def test_missing_size_and_data(self):
-        def program(mpi):
-            yield from mpi.isend(0, tag=1)
-
-        with pytest.raises(MPIError):
-            make_world(nprocs=1).run(program)
-
-    def test_size_mismatch(self):
-        def program(mpi):
-            yield from mpi.isend(0, tag=1, data=np.zeros(8, np.uint8), size=4)
-
-        with pytest.raises(MPIError):
-            make_world(nprocs=1).run(program)
-
-    def test_recv_needs_buffer_or_size(self):
-        def program(mpi):
-            yield from mpi.irecv(0, tag=1)
-
-        with pytest.raises(MPIError):
-            make_world(nprocs=1).run(program)
-
     def test_recv_buffer_must_be_uint8(self):
         def program(mpi):
             yield from mpi.irecv(0, tag=1, buffer=np.zeros(4, np.float32))

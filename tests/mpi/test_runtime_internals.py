@@ -1,9 +1,9 @@
 """White-box tests of the MPI runtime: queues and counters."""
 
-import numpy as np
 import pytest
 
 from repro.errors import MPIError
+from repro.payload import Sized
 
 from tests.mpi.conftest import make_world
 
@@ -12,15 +12,15 @@ class TestQueues:
     def test_pending_counts_reflect_state(self):
         def program(mpi):
             if mpi.rank == 0:
-                yield from mpi.send(1, tag=1, size=64)   # eager
+                yield from mpi.send(1, tag=1, data=Sized(64))   # eager
                 yield from mpi.barrier()
                 return None
             rt = mpi.world.runtime(1)
-            req = yield from mpi.irecv(0, tag=2, size=64)  # never matched... yet
+            req = yield from mpi.irecv(0, tag=2, buffer=Sized(64))  # never matched... yet
             yield from mpi.compute(0.01)
             counts = dict(rt.pending_counts())
             # one posted (tag 2), one unexpected (tag 1)
-            yield from mpi.recv(0, tag=1, size=64)
+            yield from mpi.recv(0, tag=1, buffer=Sized(64))
             after = dict(rt.pending_counts())
             yield from mpi.barrier()
             # satisfy the dangling tag-2 receive to finish cleanly
@@ -30,7 +30,7 @@ class TestQueues:
         def program2(mpi):
             out = yield from program(mpi)
             if mpi.rank == 0:
-                yield from mpi.send(1, tag=2, size=64)
+                yield from mpi.send(1, tag=2, data=Sized(64))
                 return None
             counts, after, req = out
             yield from mpi.wait(req)
@@ -53,12 +53,12 @@ class TestCounters:
         def program(mpi):
             if mpi.rank == 0:
                 for _ in range(3):
-                    yield from mpi.send(1, tag=1, size=100)       # eager
-                yield from mpi.send(1, tag=2, size=100_000)       # rendezvous
+                    yield from mpi.send(1, tag=1, data=Sized(100))       # eager
+                yield from mpi.send(1, tag=2, data=Sized(100_000))       # rendezvous
             else:
                 for _ in range(3):
-                    yield from mpi.recv(0, tag=1, size=100)
-                yield from mpi.recv(0, tag=2, size=100_000)
+                    yield from mpi.recv(0, tag=1, buffer=Sized(100))
+                yield from mpi.recv(0, tag=2, buffer=Sized(100_000))
 
         world = make_world(nprocs=2)
         world.run(program)
@@ -68,9 +68,9 @@ class TestCounters:
     def test_progress_deferral_counted(self):
         def program(mpi):
             if mpi.rank == 0:
-                yield from mpi.send(1, tag=1, size=100_000)
+                yield from mpi.send(1, tag=1, data=Sized(100_000))
                 return None
-            req = yield from mpi.irecv(0, tag=1, size=100_000)
+            req = yield from mpi.irecv(0, tag=1, buffer=Sized(100_000))
             yield from mpi.compute(0.05)  # RTS arrives while not progressing
             yield from mpi.wait(req)
 
@@ -83,12 +83,12 @@ class TestTracing:
     def test_counters_always_collected(self):
         def program(mpi):
             if mpi.rank == 0:
-                yield from mpi.send(1, tag=1, size=100)
-                yield from mpi.send(1, tag=2, size=100_000)
+                yield from mpi.send(1, tag=1, data=Sized(100))
+                yield from mpi.send(1, tag=2, data=Sized(100_000))
             else:
                 yield from mpi.compute(0.01)
-                yield from mpi.recv(0, tag=1, size=100)
-                yield from mpi.recv(0, tag=2, size=100_000)
+                yield from mpi.recv(0, tag=1, buffer=Sized(100))
+                yield from mpi.recv(0, tag=2, buffer=Sized(100_000))
 
         world = make_world(nprocs=2)
         world.run(program)
@@ -101,9 +101,9 @@ class TestTracing:
     def test_tracer_clear(self):
         def program(mpi):
             if mpi.rank == 0:
-                yield from mpi.send(1, tag=1, size=100)
+                yield from mpi.send(1, tag=1, data=Sized(100))
             else:
-                yield from mpi.recv(0, tag=1, size=100)
+                yield from mpi.recv(0, tag=1, buffer=Sized(100))
 
         world = make_world(nprocs=2)
         world.cluster.recorder.active = True

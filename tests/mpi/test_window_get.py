@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RMAError
+from repro.payload import Sized
 
 from tests.mpi.conftest import make_world
 
@@ -59,20 +60,12 @@ class TestGetFence:
             win = yield from mpi.win_allocate(64 if mpi.rank == 0 else 0)
             yield from win.fence()
             if mpi.rank == 1:
-                yield from win.get(0, None, 0, size=32)
+                yield from win.get(0, Sized(32), 0)
             yield from win.fence()
             return win.window.gets_issued
 
         res = make_world(nprocs=2).run(program)
         assert res[0] == 1
-
-    def test_size_required_without_buffer(self):
-        def program(mpi):
-            win = yield from mpi.win_allocate(64)
-            yield from win.get(0, None, 0)
-
-        with pytest.raises(RMAError):
-            make_world(nprocs=1).run(program)
 
     def test_fence_flushes_gets(self):
         """After the closing fence, all gets have landed."""
@@ -100,7 +93,7 @@ class TestGetFence:
             win = yield from mpi.win_allocate(size if mpi.rank == 0 else 0)
             yield from win.fence()
             if mpi.rank in getters:
-                yield from win.get(0, None, 0, size=size)
+                yield from win.get(0, Sized(size), 0)
             yield from win.fence()
             return mpi.now
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.collio.view import FileView
 from repro.mpi.datatypes import contiguous, resized, subarray
+from repro.payload import Sized
 
 from tests.mpi.conftest import make_world
 
@@ -121,12 +122,12 @@ class TestWriteAllReadAll:
         assert len(world.plan_cache) == 2
 
     def test_size_only_write_all(self):
-        """write_all(None) runs the timing without payload bytes."""
+        """write_all(Sized(n)) runs the timing without payload bytes."""
 
         def program(mpi):
             fh = yield from mpi.file_open("/timing")
             fh.set_view(contiguous(10_000), disp=mpi.rank * 10_000)
-            stats = yield from fh.write_all(None)
+            stats = yield from fh.write_all(Sized(10_000))
             return stats.time_in("total")
 
         _, res = run_world(program)

@@ -13,6 +13,7 @@ import pytest
 from repro.collio.api import RunSpec, run_collective_write
 from repro.collio.view import FileView
 from repro.faults import FaultSpec
+from repro.payload import Sized
 from repro.staging import DRAIN_POLICIES, StagingSpec
 from repro.units import MS
 
@@ -86,7 +87,7 @@ class TestCrashRecoveryWithStaging:
         def program(mpi):
             fh = yield from mpi.file_open("/scratch/staged")
             return (yield from collective_write(
-                mpi, fh, views[mpi.rank], None, plan,
+                mpi, fh, views[mpi.rank], Sized(PER_RANK), plan,
                 algorithm="write_overlap", config=config,
             ))
 
