@@ -45,7 +45,7 @@ from repro.bench.table import Column, Table
 from repro.collio.api import RunSpec, run_collective_write
 from repro.collio.config import CollectiveConfig
 from repro.config import DEFAULT_SCALE, DEFAULT_SEED
-from repro.errors import CorruptDataError, ReproError
+from repro.errors import CorruptDataError, ReproError, VerificationError
 from repro.faults.presets import fault_preset
 from repro.integrity.spec import IntegritySpec
 from repro.staging.spec import StagingSpec
@@ -171,7 +171,7 @@ def _integrity_rep(spec: RunSpec) -> dict:
     for mode, key in (("detect", "detect_ratio"), ("repair", "repair_ratio")):
         try:
             clean = run(mode, faulty=False)
-        except (ReproError, AssertionError):
+        except ReproError:
             out["false_positives"] += 1
             continue
         if base.elapsed > 0:
@@ -181,7 +181,7 @@ def _integrity_rep(spec: RunSpec) -> dict:
     # damage the file when nobody is checking?
     try:
         run(None, faulty=True)
-    except AssertionError:
+    except VerificationError:
         out["corrupted"] = True
 
     # Detection.
@@ -189,7 +189,7 @@ def _integrity_rep(spec: RunSpec) -> dict:
         run("detect", faulty=True)
     except CorruptDataError:
         out["outcome"] = "detected"
-    except AssertionError:
+    except VerificationError:
         out["outcome"] = "missed"
     if not out["corrupted"] and out["outcome"] != "clean":
         out["false_positives"] += 1
@@ -197,7 +197,7 @@ def _integrity_rep(spec: RunSpec) -> dict:
     # Repair: byte-identical to the fault-free run or bust.
     try:
         rep = run("repair", faulty=True)
-    except (ReproError, AssertionError):
+    except ReproError:
         rep = None
     else:
         out["repair_ok"] = rep.file_sha256 == base.file_sha256

@@ -293,17 +293,18 @@ class AlgoContext:
         lo, hi = rng
         return lo, self.buffer(self.sub_of_cycle(cycle))[lo - base : hi - base]
 
-    def _journal_entry(self, cycle: int, offset: int, payload):
+    def _journal_entry(self, cycle: int, offset: int, payload, checksum: int | None):
         """Checksum a cycle's bytes *at posting time* (buffer still stable).
 
         The sub-buffer is reused ``nsub`` cycles later, but the PFS
         samples the bytes at write completion — strictly before any
         reuse a correct algorithm allows — so a post-time checksum equals
-        the bytes on disk.
+        the bytes on disk.  An extent's integrity CRC (``checksum``) is
+        that checksum already.
         """
         if self.journal is None:
             return None
-        return (cycle, offset, len(payload), crc(payload))
+        return (cycle, offset, len(payload), crc(payload) if checksum is None else checksum)
 
     def _journal_commit(self, entry) -> None:
         """Declare a cycle durable: its write completed on the aggregator."""
@@ -339,8 +340,8 @@ class AlgoContext:
         t0 = self.mpi.now
         offset, payload = sliced
         nbytes = len(payload)
-        entry = self._journal_entry(cycle, offset, payload)
         crc = yield from self._record_extent(cycle, offset, payload)
+        entry = self._journal_entry(cycle, offset, payload, crc)
         recorder = self.recorder
         call_span = io_span = None
         if recorder.active:
@@ -386,8 +387,8 @@ class AlgoContext:
                 t0, "write", "io", rank=self.rank, cycle=cycle, flow="async",
                 bytes=nbytes,
             )
-        entry = self._journal_entry(cycle, offset, payload)
         crc = yield from self._record_extent(cycle, offset, payload)
+        entry = self._journal_entry(cycle, offset, payload, crc)
         if self.stager is not None:
             req = yield from self.fh.istage_at(
                 self.stager, offset, payload, cycle=cycle,

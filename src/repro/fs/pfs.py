@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CorruptDataError, FileSystemError
-from repro.integrity.checksum import extent_checksum
+from repro.integrity.layer import Verdict
 from repro.payload import as_payload, flip, zeros
 from repro.sim.engine import Engine, Event
 from repro.sim.primitives import all_of, defuse
@@ -152,7 +152,7 @@ class ParallelFileSystem:
             raise FileSystemError(f"write data must be uint8, got {data.dtype}")
         data = as_payload(data)
         integrity = self.integrity
-        if integrity is None or not integrity.enabled or checksum is None or not len(data):
+        if integrity is None or checksum is None or not len(data):
             return self._write_plain(file, offset, data)
         if not integrity.spec.readback:
             # Record stored-CRC metadata but defer verification to the
@@ -187,25 +187,20 @@ class ParallelFileSystem:
         try:
             while True:
                 yield self._write_plain(file, offset, data, carried_crc=checksum)
-                if file.stored_crc(offset, int(data.size)) == checksum:
-                    if attempt:
-                        integrity.note("repaired")
+                verdict = integrity.verdict(
+                    file.stored_crc(offset, int(data.size)) == checksum, attempt, "rewrite"
+                )
+                if verdict is Verdict.OK:
                     done.succeed(self.engine.now)
                     return
-                integrity.note("detected")
-                if not (integrity.repairs and attempt < integrity.spec.max_repair_attempts):
+                if verdict is Verdict.FAIL:
                     # Defused: the failure belongs to the waiter (retry
                     # layer / drain process), which may attach next tick.
-                    defuse(
-                        done.fail(
-                            CorruptDataError(
-                                f"stored extent at offset {offset} ({data.size} "
-                                "bytes) failed read-back verification"
-                            )
-                        )
-                    )
+                    defuse(done.fail(CorruptDataError(
+                        f"stored extent at offset {offset} ({data.size} "
+                        "bytes) failed read-back verification"
+                    )))
                     return
-                integrity.note("rewrite")
                 attempt += 1
         except FileSystemError as exc:
             # Transient storage fault mid-verify: surface it unchanged so
@@ -302,19 +297,17 @@ class ParallelFileSystem:
                     file.write(offset + pos, stored)
                     flipped = True
             if carried_crc is not None:
-                # Stored-CRC metadata: the clean case reuses the carried
-                # checksum (no byte pass); only a mangling commit (torn
-                # prefix, bit-flip) checksums what actually landed.
+                # Stored-CRC metadata (a carried CRC implies a layer): the
+                # clean case reuses the carried checksum (no byte pass);
+                # only a mangling commit (torn prefix, bit-flip) checksums
+                # what actually landed.
                 if keep == size and not flipped:
                     file.note_stored_crc(offset, size, carried_crc)
-                    if integrity is not None:
-                        integrity.checksum_reused += 1
+                    integrity.checksum_reused += 1
                 else:
                     file.note_stored_crc(
-                        offset, size, extent_checksum(file.read(offset, size))
+                        offset, size, integrity.checksum(file.read(offset, size))
                     )
-                    if integrity is not None:
-                        integrity.checksum_computed += 1
 
         done.callbacks.insert(0, commit)
         return done

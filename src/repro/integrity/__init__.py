@@ -11,7 +11,8 @@ surface.  This package adds the defense:
   (``mode="off"|"detect"|"repair"``, scrub/read-back knobs);
 * :mod:`~repro.integrity.layer` — :class:`IntegrityLayer`, the
   per-world manifest + escrow + counter surface the datapath hooks
-  talk to;
+  talk to, and the one verify policy (``checksum`` / ``verdict``) they
+  share;
 * :mod:`~repro.integrity.report` — :class:`ScrubReport`.
 
 With ``mode="off"`` (the default) nothing here is ever constructed and
@@ -20,7 +21,7 @@ package — the golden fingerprint suite pins that.
 """
 
 from repro.integrity.checksum import extent_checksum
-from repro.integrity.layer import IntegrityLayer
+from repro.integrity.layer import IntegrityLayer, Verdict
 from repro.integrity.report import ScrubReport
 from repro.integrity.spec import INTEGRITY_MODES, IntegritySpec
 
@@ -29,5 +30,6 @@ __all__ = [
     "IntegrityLayer",
     "IntegritySpec",
     "ScrubReport",
+    "Verdict",
     "extent_checksum",
 ]

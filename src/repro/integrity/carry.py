@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import CorruptDataError
-from repro.integrity.checksum import ChecksumLedger, crc32_concat, extent_checksum
+from repro.integrity.checksum import ChecksumLedger, crc32_concat
+from repro.integrity.layer import Verdict
 from repro.integrity.report import ScrubReport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,8 +80,7 @@ class ChecksumCarry:
         for _off, ln, loc in sa.pieces:
             crc = led.combine(loc, loc + ln)
             if crc is None:
-                crc = extent_checksum(src[loc : loc + ln])
-                integrity.checksum_computed += 1
+                crc = integrity.checksum(src[loc : loc + ln])
             else:
                 integrity.checksum_reused += 1
             pieces.append((int(ln), crc))
@@ -93,9 +93,8 @@ class ChecksumCarry:
         ``(local_offset, length)`` piece of the rank's data is checksummed
         once; the whole-message CRC is combined from them.
         """
-        data = self.ctx.data
-        pieces = [(ln, extent_checksum(data[loc : loc + ln])) for loc, ln in spans]
-        self.integrity.checksum_computed += len(pieces)
+        data, checksum = self.ctx.data, self.integrity.checksum
+        pieces = [(ln, checksum(data[loc : loc + ln])) for loc, ln in spans]
         return tuple(pieces), self._whole(pieces)
 
     def staged_piece_crc(self, cycle: int, loc: int, ln: int) -> int | None:
@@ -136,10 +135,9 @@ class ChecksumCarry:
         """File a leader's own stream pieces, checksummed once, under their
         staging offsets ``dests``."""
         led = self.staging_ledger(cycle)
-        data = self.ctx.data
+        data, checksum = self.ctx.data, self.integrity.checksum
         for dest, (loc, ln) in zip(dests, spans):
-            led.file(int(dest), ln, extent_checksum(data[loc : loc + ln]))
-            self.integrity.checksum_computed += 1
+            led.file(int(dest), ln, checksum(data[loc : loc + ln]))
 
     def file_member_stream(self, cycle: int, dests, spans, carried) -> None:
         """File the piece CRCs a member's (verified) gather stream carried
@@ -209,8 +207,7 @@ class ChecksumCarry:
             return stored
         data = np.empty(nbytes, dtype=np.uint8)
         yield from fh.read_at(offset, data)
-        integrity.checksum_computed += 1
-        return extent_checksum(data)
+        return integrity.checksum(data)
 
     def scrub(self):
         """Post-write scrub: verify this aggregator's extents on disk.
@@ -229,7 +226,7 @@ class ChecksumCarry:
         not be repaired.
         """
         ctx, integrity = self.ctx, self.integrity
-        if not integrity.enabled or not integrity.spec.scrub or not ctx.is_aggregator:
+        if not integrity.spec.scrub or not ctx.is_aggregator:
             return
         entries = integrity.entries_for(ctx.fh.path, ctx.rank)
         if not entries:
@@ -249,31 +246,20 @@ class ChecksumCarry:
                 continue
             report.mismatches += 1
             report.bad_offsets.append(offset)
-            integrity.note("detected")
-            source = (
-                integrity.repair_source(ctx.fh.path, offset, nbytes)
-                if integrity.repairs
-                else None
-            )
-            if source is None:
-                continue
             # The rewrite itself goes through the (still faulty) storage
-            # path, so re-verify it with bounded retries even when
-            # per-write read-back is off — the scrub is the last line of
-            # defense and must not trade one corruption for another.
-            fixed = False
-            for _ in range(integrity.spec.max_repair_attempts):
-                integrity.note("rewrite")
+            # path, so re-verify it under the same bounded budget even
+            # when per-write read-back is off — the scrub is the last line
+            # of defense and must not trade one corruption for another.
+            source = integrity.repair_source(ctx.fh.path, offset, nbytes)
+            attempt = 0
+            while (verdict := integrity.verdict(
+                stored_crc == crc, attempt, "rewrite", can_redo=source is not None
+            )) is Verdict.REDO:
                 yield from ctx.fh.write_at(offset, source, checksum=crc)
                 stored_crc = yield from self._scrub_extent_crc(offset, nbytes)
-                if stored_crc == crc:
-                    fixed = True
-                    break
-                integrity.note("detected")
-            if not fixed:
-                continue
-            report.repaired += 1
-            integrity.note("repaired")
+                attempt += 1
+            if verdict is Verdict.OK:
+                report.repaired += 1
         integrity.scrub_reports.append(report)
         ctx.recorder.end(span, ctx.mpi.now)
         ctx.stats.add_time("scrub", ctx.mpi.now - t0)

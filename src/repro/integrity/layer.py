@@ -1,18 +1,20 @@
-"""The per-world integrity layer: checksum manifest, escrow, accounting.
+"""The per-world integrity layer: checksum manifest, escrow, verify policy.
 
 One :class:`IntegrityLayer` is attached to a world (the same
-get-or-create pattern the staging tier uses) when a collective write's
-config enables integrity.  It is the meeting point of the datapath's
-verify hooks:
+get-or-create pattern the staging tier uses) when, and only when, a
+collective write's config enables integrity.  It is the meeting point
+of the datapath's verify hooks:
 
 * aggregators **record** every extent they are about to write —
   ``record_extent`` checksums the bytes at the producing side and files
   them in the per-path manifest (plus a pristine escrow copy in repair
   mode, the source of drain/scrub restoration);
-* the delivery, drain and storage hooks **verify** against carried
-  checksums and **note** what they saw — every note bumps an
-  ``integrity.*`` counter of the world's recorder, so detection/repair
-  counts reach the run's metrics with every other counter;
+* every counted byte pass of the datapath is ``checksum``;
+* the five verify hops (message delivery, RMA landing, commit read-back,
+  drain pickup, end-of-job scrub) compare and ask ``verdict`` — the one
+  detect/repair policy — what to do; it notes ``integrity.*`` counters
+  of the world's recorder, so detection/repair counts reach the run's
+  metrics with every other counter;
 * the end-of-job scrub walks ``entries_for`` and appends its
   :class:`~repro.integrity.report.ScrubReport` here.
 
@@ -24,18 +26,28 @@ in-flight extent manifest entry — is the price of source-side repair).
 
 from __future__ import annotations
 
+import enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.integrity.checksum import extent_checksum
 from repro.integrity.report import ScrubReport
 from repro.integrity.spec import IntegritySpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import World
 
-__all__ = ["IntegrityLayer"]
+__all__ = ["IntegrityLayer", "Verdict"]
+
+
+class Verdict(enum.Enum):
+    """What a verify hop does next (see :meth:`IntegrityLayer.verdict`)."""
+
+    OK = "ok"  #: the bytes match: complete the hop
+    REDO = "redo"  #: mismatch within budget: redo the hop and verify again
+    FAIL = "fail"  #: mismatch, no repair possible: fail the hop
 
 
 class IntegrityLayer:
@@ -81,14 +93,6 @@ class IntegrityLayer:
         if world.pfs is not None:
             world.pfs.integrity = layer
         return layer
-
-    @property
-    def enabled(self) -> bool:
-        return self.spec.enabled
-
-    @property
-    def repairs(self) -> bool:
-        return self.spec.repairs
 
     # ------------------------------------------------------------------
     # Manifest (the producing side)
@@ -151,6 +155,32 @@ class IntegrityLayer:
         """Release the escrow copies (the world is finished; the manifest
         and counters stay readable)."""
         self._escrow.clear()
+
+    # ------------------------------------------------------------------
+    # The verify policy (every hop)
+    # ------------------------------------------------------------------
+    def checksum(self, buf) -> int:
+        """CRC-32 of ``buf``: the datapath's one counted byte pass."""
+        self.checksum_computed += 1
+        return extent_checksum(buf)
+
+    def verdict(self, clean: bool, attempt: int, redo: str, can_redo: bool = True) -> Verdict:
+        """The one detect/repair decision of every verify hop.
+
+        ``attempt`` counts the hop's redos so far, ``redo`` names its redo
+        counter and ``can_redo`` is its own source condition (a live
+        sender, an escrow copy).  A mismatch is redone only in repair
+        mode, with a source, within ``max_repair_attempts``.
+        """
+        if clean:
+            if attempt:
+                self.note("repaired")
+            return Verdict.OK
+        self.note("detected")
+        if can_redo and self.spec.repairs and attempt < self.spec.max_repair_attempts:
+            self.note(redo)
+            return Verdict.REDO
+        return Verdict.FAIL
 
     # ------------------------------------------------------------------
     # Accounting

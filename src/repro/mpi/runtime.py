@@ -34,7 +34,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import CorruptDataError, MPIError, RankCrashError
-from repro.integrity.checksum import extent_checksum
+from repro.integrity.layer import Verdict
 from repro.mpi.message import (
     CONTROL_MESSAGE_SIZE,
     MESSAGE_HEADER_SIZE,
@@ -412,24 +412,20 @@ class RankRuntime:
         if integrity is not None and msg.checksum is not None:
             # The one unavoidable byte pass per network hop: the receiver
             # must prove the *landed* copy matches the carried CRC.
-            integrity.checksum_computed += 1
-            actual = extent_checksum(op.buffer[: msg.size])
-            if actual != msg.checksum:
-                integrity.note("detected")
-                if (
-                    integrity.repairs
-                    and attempt < integrity.spec.max_repair_attempts
-                    and not self.world.runtime(msg.src).crashed
-                ):
-                    self._request_retransmit(op, msg, attempt, sender_event)
-                    return
+            verdict = integrity.verdict(
+                integrity.checksum(op.buffer[: msg.size]) == msg.checksum,
+                attempt, "retransmit",
+                can_redo=not self.world.runtime(msg.src).crashed,
+            )
+            if verdict is Verdict.REDO:
+                self._request_retransmit(op, msg, attempt, sender_event)
+                return
+            if verdict is Verdict.FAIL:
                 self._fail_recv(op, msg, sender_event, CorruptDataError(
                     f"message {msg.src}->{msg.dst} (tag {msg.tag}) failed "
                     f"checksum verification after {attempt + 1} delivery(s)"
                 ))
                 return
-            if attempt:
-                integrity.note("repaired")
             # Verified: the carried CRCs now describe the receiver's copy.
             op.checksum = msg.checksum
             op.piece_checksums = msg.piece_checksums
@@ -463,11 +459,9 @@ class RankRuntime:
         so neither rank's CPU is involved): a control message travels
         back to the source, then the payload crosses the fabric again —
         re-read from the sender's still-pristine buffer — and re-enters
-        the delivery tail with a fresh corruption draw.  Bounded by the
-        integrity spec's ``max_repair_attempts``.
+        the delivery tail with a fresh corruption draw.  The delivery
+        tail's verdict bounds the attempts.
         """
-        integrity = self.world.integrity
-        integrity.note("retransmit")
         fabric = self.world.cluster.fabric
         src_rt = self.world.runtime(msg.src)
 

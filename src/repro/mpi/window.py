@@ -26,7 +26,8 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.errors import CorruptDataError, RMAError
-from repro.integrity.checksum import ChecksumLedger, extent_checksum
+from repro.integrity.checksum import ChecksumLedger
+from repro.integrity.layer import Verdict
 from repro.mpi.message import MESSAGE_HEADER_SIZE
 from repro.payload import as_payload, flip, place, zeros
 from repro.sim.engine import Event
@@ -240,38 +241,28 @@ class WindowHandle:
 
                 def verify_land(_evt, attempt: int = 0) -> None:
                     land(_evt)
-                    # The per-hop verify byte pass over the landed copy.
-                    integrity.checksum_computed += 1
-                    actual = extent_checksum(landed)
-                    if actual == crc32:
-                        if attempt:
-                            integrity.note("repaired")
+                    verdict = integrity.verdict(
+                        integrity.checksum(landed) == crc32, attempt, "retransmit"
+                    )
+                    if verdict is Verdict.OK:
                         if file_offset is not None:
                             self.window.ledger(target).file(file_offset, nbytes, crc32)
                         completion.succeed(world.engine.now)
                         return
-                    integrity.note("detected")
-                    if integrity.repairs and attempt < integrity.spec.max_repair_attempts:
-                        integrity.note("retransmit")
+                    if verdict is Verdict.REDO:
                         redo = fabric.transfer(
                             rt.node, target_node, nbytes + MESSAGE_HEADER_SIZE
                         )
-                        redo.callbacks.append(
-                            lambda evt, a=attempt + 1: verify_land(evt, a)
-                        )
+                        redo.callbacks.append(lambda evt, a=attempt + 1: verify_land(evt, a))
                         return
                     # Defused: the failure belongs to whoever waits on the
                     # put (fence/unlock all_of, or the caller), and that
                     # wait may not be attached yet.
-                    defuse(
-                        completion.fail(
-                            CorruptDataError(
-                                f"put {self.rank}->{target} at window offset {off} "
-                                f"({nbytes} bytes) failed checksum verification "
-                                f"after {attempt + 1} delivery(s)"
-                            )
-                        )
-                    )
+                    defuse(completion.fail(CorruptDataError(
+                        f"put {self.rank}->{target} at window offset {off} "
+                        f"({nbytes} bytes) failed checksum verification "
+                        f"after {attempt + 1} delivery(s)"
+                    )))
 
                 transfer.callbacks.append(verify_land)
                 self.window.track(self.rank, target, completion)

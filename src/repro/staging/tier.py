@@ -44,7 +44,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError, CorruptDataError, FileSystemError
-from repro.integrity.checksum import extent_checksum
+from repro.integrity.layer import Verdict
 from repro.payload import as_payload, flip, snapshot
 from repro.sim.engine import Engine, Event
 from repro.sim.resources import ServerQueue
@@ -308,27 +308,23 @@ class DrainScheduler:
         if integrity is None or ext.checksum is None:
             return
         attempt = 0
-        integrity.checksum_computed += 1
-        while extent_checksum(ext.data[: ext.nbytes]) != ext.checksum:
-            integrity.note("detected")
-            source = (
-                integrity.repair_source(ext.file.path, ext.offset, ext.nbytes)
-                if integrity.repairs
-                else None
+        while True:
+            source = integrity.repair_source(ext.file.path, ext.offset, ext.nbytes)
+            verdict = integrity.verdict(
+                integrity.checksum(ext.data[: ext.nbytes]) == ext.checksum,
+                attempt, "refetch", can_redo=source is not None,
             )
-            if source is None or attempt >= integrity.spec.max_repair_attempts:
+            if verdict is Verdict.OK:
+                return
+            if verdict is Verdict.FAIL:
                 raise CorruptDataError(
                     f"staged extent at offset {ext.offset} ({ext.nbytes} bytes) "
                     f"on node {self.node} failed checksum verification"
                 )
-            integrity.note("refetch")
             ext.data = snapshot(source)
             yield self.buffer.absorb_queue.submit(ext.nbytes)
             attempt += 1
             bitrot()
-            integrity.checksum_computed += 1
-        if attempt:
-            integrity.note("repaired")
 
     def _write_durable(self, ext: _StagedExtent):
         """One extent's PFS write, retrying transient faults and outages."""

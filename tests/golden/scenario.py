@@ -184,9 +184,10 @@ def telemetry_specs() -> dict[str, RunSpec]:
     """Traced runs only the telemetry fixed point pins: a degraded-cluster
     run that crashes twice and recovers (three attempts at this seed), the
     same faults plus bit-rot under integrity repair (two attempts, both
-    repairing), and a bit-rot run through every write-path layer
-    (two-layer gather, watermark staging, integrity repair with scrub and
-    read-back, retry); small cycles make the faults fire."""
+    repairing), a bit-rot run through every write-path layer (two-layer
+    gather, watermark staging, integrity repair with scrub and read-back,
+    retry) and a one-sided bit-rot run whose put landings retransmit;
+    small cycles make the faults fire."""
     degraded, bitrot = fault_preset("degraded_cluster"), fault_preset("bitrot_cluster")
     return {
         TELEMETRY + "degraded_cluster/write_overlap": golden_spec(
@@ -213,6 +214,14 @@ def telemetry_specs() -> dict[str, RunSpec]:
             config=CollectiveConfig(
                 cb_buffer_size=16 * 1024,
                 integrity=IntegritySpec(mode="repair", scrub=True, readback=True),
+            ),
+        ),
+        TELEMETRY + "bitrot_cluster/one_sided_fence": golden_spec(
+            "write_overlap", "one_sided_fence", False
+        ).replace(
+            seed=1, faults=bitrot,
+            config=CollectiveConfig(
+                cb_buffer_size=16 * 1024, integrity=IntegritySpec(mode="repair")
             ),
         ),
     }

@@ -87,6 +87,40 @@ def test_certain_corruption_exhausts_bounded_attempts():
                                    faults=faults))
 
 
+@pytest.mark.parametrize(
+    "faults, shuffle, staged, integrity_kw, hop",
+    [
+        pytest.param(FaultSpec(message_corrupt_rate=1.0), "two_sided", False, {},
+                     r"^message \d+->\d+ .* failed checksum verification",
+                     id="message"),
+        pytest.param(FaultSpec(message_corrupt_rate=1.0), "one_sided_fence", False, {},
+                     r"^put \d+->\d+ .* failed checksum verification",
+                     id="put-fence"),
+        pytest.param(FaultSpec(message_corrupt_rate=1.0), "one_sided_lock", False, {},
+                     r"^put \d+->\d+ .* failed checksum verification",
+                     id="put-lock"),
+        pytest.param(FaultSpec(staging_corrupt_rate=1.0), "two_sided", True, {},
+                     r"^staged extent .* failed checksum verification",
+                     id="staging"),
+        pytest.param(FaultSpec(storage_corrupt_rate=1.0), "two_sided", False,
+                     {"readback": True},
+                     r"^stored extent .* failed read-back verification",
+                     id="storage-readback"),
+        pytest.param(FaultSpec(storage_corrupt_rate=1.0), "two_sided", False,
+                     {"readback": False, "scrub": True},
+                     r"^scrub on rank \d+ found \d+ corrupt extent",
+                     id="storage-scrub"),
+    ],
+)
+def test_every_hop_repair_budget_terminates(faults, shuffle, staged, integrity_kw, hop):
+    """Every verify hop shares one bounded repair budget: with corruption
+    certain on its every redo, each hop gives up with CorruptDataError
+    naming itself instead of looping."""
+    with pytest.raises(CorruptDataError, match=hop):
+        run_collective_write(_spec("write_overlap", 7, mode="repair", faults=faults,
+                                   staged=staged, shuffle=shuffle, **integrity_kw))
+
+
 def test_repair_deterministic_per_seed():
     faults = fault_preset("bitrot_cluster")
     a = run_collective_write(_spec("write_overlap", 8, mode="repair", faults=faults))
