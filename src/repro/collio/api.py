@@ -47,7 +47,7 @@ from repro.collio.plan import (
     store_plan,
 )
 from repro.collio.shuffle import SHUFFLE_PRIMITIVES
-from repro.collio.view import FileView
+from repro.collio.view import FileView, compose
 from repro.config import DEFAULT_SEED
 from repro.errors import ConfigurationError, ReproError, VerificationError
 from repro.faults.retry import RetryPolicy
@@ -148,6 +148,10 @@ class RunSpec(SpecBase):
     fs: FsSpec
     nprocs: int
     views: dict[int, FileView]
+    #: ``(rank, nbytes) -> uint8 array``: a rank's payload.  It must be a
+    #: pure function of its arguments: a read lays each payload out in the
+    #: file, drops it and calls the factory again to verify (the tuner
+    #: cache and the goldens assume the same).
     data_factory: Callable[[int, int], np.ndarray] = default_data
     algorithm: str = "write_overlap"
     shuffle: str = "two_sided"
@@ -407,12 +411,6 @@ class CollectiveWriteResult:
     #: reports); None when integrity was off.
     integrity: Any = None
 
-    def phase_time(self, phase: str, rank: int | None = None) -> float:
-        """Max (or one rank's) accumulated time in a phase."""
-        if rank is not None:
-            return self.per_rank_stats[rank].time_in(phase)
-        return max(s.time_in(phase) for s in self.per_rank_stats)
-
     def aggregate_counter(self, counter: str) -> int:
         return sum(s.counters.get(counter, 0) for s in self.per_rank_stats)
 
@@ -504,8 +502,10 @@ class RunPipeline:
     cycle buffers and one verification window — and nothing afterwards.
 
     In the read ``direction`` an attempt first lays the payloads out in
-    the file (out of band), the ranks fill fresh buffers, and
-    verification compares those with the payloads.
+    the file (out of band) and drops them, the ranks fill fresh buffers,
+    and verification compares those with the payloads, regenerated one
+    rank at a time: a read holds the store and the read buffers, never
+    a payload dict.
     """
 
     def __init__(self, spec: RunSpec, algorithm: str, config: CollectiveConfig,
@@ -520,7 +520,7 @@ class RunPipeline:
         self.elapsed = 0.0
         self.bytes_written = 0
         self.integrity = None  # last attempt's layer snapshot
-        self.payloads: dict | None = None  # rank payloads, built once
+        self.payloads: dict | None = None  # a write's rank payloads, built once
         self.buffers: dict | None = None  # what the ranks were handed
         self.plan: TwoPhasePlan | None = None  # the intended (first) plan
         self.world: World | None = None  # last attempt's world
@@ -614,8 +614,11 @@ class RunPipeline:
             )
         if self.plan is None:
             self.plan = plan
-            make = spec.data_factory if spec.carry_data else (lambda _rank, n: Sized(n))
-            self.payloads = {r: make(r, spec.views[r].total_bytes) for r in range(spec.nprocs)}
+            if not reading:
+                make = spec.data_factory if spec.carry_data else (lambda _rank, n: Sized(n))
+                self.payloads = {
+                    r: make(r, spec.views[r].total_bytes) for r in range(spec.nprocs)
+                }
         self.buffers = self._prefill() if reading else self.payloads
         span = None
         if number:
@@ -650,14 +653,16 @@ class RunPipeline:
         return failure
 
     def _prefill(self) -> dict:
-        """Lay the payloads out in the file, *then* create the ranks' empty
-        buffers (this order keeps the allocator's high-water mark lower)."""
+        """Lay each rank's payload out in the file and drop it, *then*
+        create the ranks' empty buffers (this order keeps the allocator's
+        high-water mark at one payload beside the store)."""
         spec = self.spec
         if not spec.carry_data:
-            return self.payloads  # size-only: no bytes to lay out or fill
+            # Size-only: no bytes to lay out or fill.
+            return {r: Sized(spec.views[r].total_bytes) for r in range(spec.nprocs)}
         simfile = self.world.pfs.open(spec.path)
         for rank, view in spec.views.items():
-            data = self.payloads[rank]
+            data = spec.data_factory(rank, view.total_bytes)
             for off, ln, loc in zip(
                 view.offsets.tolist(), view.lengths.tolist(), view.local_offsets.tolist()
             ):
@@ -758,9 +763,11 @@ class RunPipeline:
         return result
 
     def _verify_buffers(self) -> None:
-        """Byte-exact check of what every rank read against its payload."""
-        for rank, expected in self.payloads.items():
-            actual = self.buffers[rank]
+        """Byte-exact check of what every rank read against its payload,
+        regenerated one rank at a time (``data_factory`` is pure)."""
+        spec = self.spec
+        for rank, actual in self.buffers.items():
+            expected = spec.data_factory(rank, spec.views[rank].total_bytes)
             if not np.array_equal(actual, expected):
                 bad = np.flatnonzero(actual != expected)
                 raise VerificationError(
@@ -786,15 +793,10 @@ class RunPipeline:
         digest = hashlib.sha256()
         window = np.empty(min(size, VERIFY_WINDOW), dtype=np.uint8)
         wrong, first = 0, None
+        sources = [(view, self.payloads[rank]) for rank, view in views.items()]
         for lo in range(0, size, VERIFY_WINDOW):
             hi = min(lo + VERIFY_WINDOW, size)
-            expected = window[: hi - lo]
-            expected.fill(0)
-            for rank, view in views.items():
-                data = self.payloads[rank]
-                offs, lens, locs = view.clip(lo, hi)
-                for off, ln, loc in zip((offs - lo).tolist(), lens.tolist(), locs.tolist()):
-                    expected[off : off + ln] = data[loc : loc + ln]
+            expected = compose(sources, lo, window[: hi - lo])
             actual = simfile.stored(lo, hi - lo)
             if not np.array_equal(actual, expected):
                 bad = np.flatnonzero(actual != expected)

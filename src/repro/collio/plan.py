@@ -206,13 +206,6 @@ class TwoPhasePlan:
         """Byte span the aggregator writes in ``cycle`` (None if no data)."""
         return self._write_range.get((agg_index, cycle))
 
-    def is_aggregator(self, rank: int) -> bool:
-        return rank in self.agg_index_of_rank
-
-    def metadata_bytes(self, meta_bytes_per_extent: int, views: dict[int, FileView]) -> dict[int, int]:
-        """Per-rank view-description bytes exchanged during planning."""
-        return {r: v.num_extents * meta_bytes_per_extent for r, v in views.items()}
-
     # ------------------------------------------------------------------
     # Invariant checks (used by tests and verify mode)
     # ------------------------------------------------------------------
@@ -366,9 +359,6 @@ class TwoLayerPlan(TwoPhasePlan):
     # ------------------------------------------------------------------
     # Layer-1 (gather) queries
     # ------------------------------------------------------------------
-    def is_leader(self, rank: int) -> bool:
-        return self.leader_of_rank.get(rank) == rank
-
     def uses_staging(self, rank: int) -> bool:
         """Whether this rank forwards out of a staging buffer."""
         return rank in self.staging_leaders

@@ -14,7 +14,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.mpi.datatypes import Datatype
 
-__all__ = ["FileView"]
+__all__ = ["FileView", "compose"]
 
 
 class FileView:
@@ -198,3 +198,21 @@ class FileView:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FileView {self.num_extents} extents, {self.total_bytes} bytes>"
+
+
+def compose(sources, lo: int, out: np.ndarray) -> np.ndarray:
+    """The bytes a file written from ``sources`` holds at ``[lo, lo + len(out))``.
+
+    ``sources`` yields ``(view, data)`` pairs in rank order; each view's
+    pieces inside the range are laid over ``out`` in turn, so where views
+    overlap the last rank wins, and holes stay zero.  Verification and
+    integrity repair both ask this one function what the file should
+    hold.  Fills and returns ``out``.
+    """
+    hi = lo + len(out)
+    out.fill(0)
+    for view, data in sources:
+        offs, lens, locs = view.clip(lo, hi)
+        for off, ln, loc in zip((offs - lo).tolist(), lens.tolist(), locs.tolist()):
+            out[off : off + ln] = data[loc : loc + ln]
+    return out

@@ -338,7 +338,3 @@ class ParallelFileSystem:
             done.callbacks.append(lambda evt, _s=span: self.recorder.end(_s, evt.engine.now))
         done.callbacks.append(lambda _evt: file.read_into(offset, dest))
         return done
-
-    # -- accounting ---------------------------------------------------------
-    def per_target_bytes(self) -> list[int]:
-        return [t.bytes_served for t in self.targets]

@@ -158,6 +158,3 @@ class Cluster:
                 f"{self.spec.cores_per_node} cores"
             )
         return node
-
-    def max_ranks(self) -> int:
-        return self.spec.total_cores

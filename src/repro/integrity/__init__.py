@@ -10,7 +10,7 @@ surface.  This package adds the defense:
 * :mod:`~repro.integrity.spec` — :class:`IntegritySpec`
   (``mode="off"|"detect"|"repair"``, scrub/read-back knobs);
 * :mod:`~repro.integrity.layer` — :class:`IntegrityLayer`, the
-  per-world manifest + escrow + counter surface the datapath hooks
+  per-world manifest + repair sources + counter surface the datapath hooks
   talk to, and the one verify policy (``checksum`` / ``verdict``) they
   share;
 * :mod:`~repro.integrity.report` — :class:`ScrubReport`.

@@ -51,6 +51,7 @@ class ChecksumCarry:
         #: ranks' stay empty).  Slot ``c % nsub``'s ledger is cleared when
         #: cycle ``c``'s gather refills the slot.
         self.staging_ledgers = [ChecksumLedger() for _ in range(ctx.nsub)]
+        integrity.register_source(ctx.fh.path, ctx.rank, ctx.view, ctx.data)
 
     def staging_ledger(self, cycle: int) -> ChecksumLedger:
         """The staging slot's verified-CRC ledger for ``cycle``."""
@@ -220,10 +221,11 @@ class ChecksumCarry:
         including torn writes and commit-time bit-flips) is compared
         against the manifest CRC; extents without metadata fall back to
         a simulated read-back.  In repair mode a mismatch is rewritten
-        from the escrow copy (carrying the checksum, so the rewrite is
-        itself commit-verified).  Appends a :class:`ScrubReport` to the
-        layer and raises :class:`CorruptDataError` if any mismatch could
-        not be repaired.
+        from bytes composed afresh from the producing ranks' buffers
+        (carrying the checksum, so the rewrite is itself
+        commit-verified).  Appends a :class:`ScrubReport` to the layer
+        and raises :class:`CorruptDataError` if any mismatch could not
+        be repaired.
         """
         ctx, integrity = self.ctx, self.integrity
         if not integrity.spec.scrub or not ctx.is_aggregator:

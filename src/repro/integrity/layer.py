@@ -1,4 +1,4 @@
-"""The per-world integrity layer: checksum manifest, escrow, verify policy.
+"""The per-world integrity layer: checksum manifest, repair sources, verify policy.
 
 One :class:`IntegrityLayer` is attached to a world (the same
 get-or-create pattern the staging tier uses) when, and only when, a
@@ -7,8 +7,12 @@ of the datapath's verify hooks:
 
 * aggregators **record** every extent they are about to write —
   ``record_extent`` checksums the bytes at the producing side and files
-  them in the per-path manifest (plus a pristine escrow copy in repair
-  mode, the source of drain/scrub restoration);
+  them in the per-path manifest;
+* in repair mode every rank **registers** its ``(view, data)`` — a
+  reference to the user buffer, which MPI requires to stay unchanged
+  until the collective returns — and ``repair_source`` composes a
+  recorded extent's pristine bytes from those buffers on demand, the
+  source of drain/scrub restoration;
 * every counted byte pass of the datapath is ``checksum``;
 * the five verify hops (message delivery, RMA landing, commit read-back,
   drain pickup, end-of-job scrub) compare and ask ``verdict`` — the one
@@ -18,10 +22,10 @@ of the datapath's verify hooks:
 * the end-of-job scrub walks ``entries_for`` and appends its
   :class:`~repro.integrity.report.ScrubReport` here.
 
-The layer never touches a clean run's byte stream: checksums are
-computed over buffers the datapath already holds, and the escrow copies
-exist only in repair mode (their memory cost — one pristine copy per
-in-flight extent manifest entry — is the price of source-side repair).
+The layer never touches a clean run's byte stream and holds no payload
+bytes of its own: checksums are computed over buffers the datapath
+already holds, and a repair's pristine bytes are derived from the
+producers' buffers only when a mismatch needs them.
 """
 
 from __future__ import annotations
@@ -63,8 +67,9 @@ class IntegrityLayer:
         self._counted_before = self._integrity_counts()
         #: (path, offset, nbytes) -> (crc32, producing aggregator rank).
         self.manifest: dict[tuple[str, int, int], tuple[int, int]] = {}
-        #: Pristine extent copies for source-side repair (repair mode only).
-        self._escrow: dict[tuple[str, int, int], np.ndarray] = {}
+        #: path -> {rank: (view, data)}: the producing ranks' buffers of the
+        #: collective writing ``path`` (repair mode only; references).
+        self._sources: dict[str, dict[int, tuple]] = {}
         self.extents_recorded = 0
         self.scrub_reports: list[ScrubReport] = []
         #: Checksum-carrying accounting: byte-touching CRC passes vs
@@ -122,8 +127,6 @@ class IntegrityLayer:
         crc = self.carried(payload, checksum)
         self.manifest[key] = (crc, rank)
         self.extents_recorded += 1
-        if self.spec.repairs:
-            self._escrow[key] = np.array(payload, dtype=np.uint8, copy=True)
         return crc
 
     def carried(self, payload, checksum: int | None = None) -> int | None:
@@ -147,14 +150,32 @@ class IntegrityLayer:
             if p == path and owner == rank
         )
 
+    def register_source(self, path: str, rank: int, view, data) -> None:
+        """Note ``rank``'s view and buffer as a producer of ``path`` (repair
+        mode only; a later collective's registration replaces it).
+
+        A reference, not a copy: the buffer must stay unchanged until
+        the collective returns, and every repair happens before that.
+        """
+        if self.spec.repairs:
+            self._sources.setdefault(path, {})[rank] = (view, data)
+
     def repair_source(self, path: str, offset: int, nbytes: int) -> np.ndarray | None:
-        """Pristine bytes of a recorded extent, or None (not escrowed)."""
-        return self._escrow.get((path, int(offset), int(nbytes)))
+        """Pristine bytes of a recorded extent, composed afresh from the
+        registered buffers; None for an unrecorded extent or outside
+        repair mode."""
+        from repro.collio.view import compose  # local: collio imports this package
+
+        sources = self._sources.get(path)
+        if not sources or (path, int(offset), int(nbytes)) not in self.manifest:
+            return None
+        ranks = sorted(sources)
+        return compose((sources[r] for r in ranks), int(offset), np.empty(nbytes, np.uint8))
 
     def close(self) -> None:
-        """Release the escrow copies (the world is finished; the manifest
+        """Drop the registered buffers (the world is finished; the manifest
         and counters stay readable)."""
-        self._escrow.clear()
+        self._sources.clear()
 
     # ------------------------------------------------------------------
     # The verify policy (every hop)
@@ -169,7 +190,7 @@ class IntegrityLayer:
 
         ``attempt`` counts the hop's redos so far, ``redo`` names its redo
         counter and ``can_redo`` is its own source condition (a live
-        sender, an escrow copy).  A mismatch is redone only in repair
+        sender, a repair source).  A mismatch is redone only in repair
         mode, with a source, within ``max_repair_attempts``.
         """
         if clean:

@@ -33,10 +33,12 @@ class IntegritySpec(SpecBase):
     ``"repair"``
         Like ``detect``, but each verify point first tries to restore
         the extent — message/RMA retransmission from the (pristine)
-        source buffer, re-ingest from the layer's escrow copy on the
-        drain path, rewrite from the still-stable caller buffer on the
-        storage path — up to ``max_repair_attempts`` times before
-        giving up with :class:`~repro.errors.CorruptDataError`.
+        source buffer, re-ingest on the drain path and rewrite on the
+        scrub path from bytes composed afresh from the producing ranks'
+        still-stable buffers (the layer keeps no copy of its own),
+        rewrite from the caller buffer on the storage path — up to
+        ``max_repair_attempts`` times before giving up with
+        :class:`~repro.errors.CorruptDataError`.
 
     Attach it to a run via the collective configuration::
 

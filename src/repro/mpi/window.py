@@ -139,9 +139,6 @@ class Window:
             events.extend(self._outstanding.pop(key))
         return events
 
-    def outstanding_count(self, origin: int) -> int:
-        return sum(len(v) for k, v in self._outstanding.items() if k[0] == origin)
-
 
 class WindowHandle:
     """One rank's view of a window (the object ``win_allocate`` returns)."""

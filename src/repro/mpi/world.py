@@ -224,9 +224,10 @@ class World:
 
         File bytes (unless ``keep_files``: a recovery attempt's store lives
         on in the next world), RMA windows, the delivery arenas, staged
-        extents, the integrity escrow, and what an aborted run left
-        mid-cycle: suspended rank programs (payload, cycle buffers),
-        pending events and the matching queues (in-flight messages).
+        extents, the integrity layer's buffer references, and what an
+        aborted run left mid-cycle: suspended rank programs (payload,
+        cycle buffers), pending events and the matching queues (in-flight
+        messages).
 
         A world is one web of reference cycles (ranks, engine, callbacks),
         so without this its memory waits for a generation-2 collection

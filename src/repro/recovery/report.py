@@ -31,10 +31,6 @@ class RecoveryReport:
     #: (``rank_crash`` / ``ost_outage`` / ``completed``).
     events: list[dict] = field(default_factory=list)
 
-    @property
-    def had_faults(self) -> bool:
-        return bool(self.crashed_ranks or self.down_targets)
-
     def timeline(self) -> str:
         """Human-readable one-line-per-event recovery timeline."""
         lines = []

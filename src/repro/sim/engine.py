@@ -384,15 +384,6 @@ class Engine:
             self.max_heap_len = len(self._heap)
 
     # -- execution ---------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event."""
-        when, _, event = heapq.heappop(self._heap)
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
-        self.events_processed += 1
-        event._process()
-
     def _loop(self, until: float | None, pending: Sequence[int]) -> bool:
         """The event loop: pop and process events in ``(when, seq)`` order.
 
@@ -400,10 +391,10 @@ class Engine:
         ``until``, or when ``pending[0]`` (a count the caller's callbacks
         decrement) reaches zero.  Returns True if the heap drained.
         """
-        # Manually inlined step(): this loop IS the simulator's hot path,
-        # so the heap, the pop and the event counter live in locals and
-        # the count is folded back in one write (exception-safe via the
-        # finally, preserving step()'s count-then-process semantics).
+        # This loop IS the simulator's hot path, so the heap, the pop and
+        # the event counter live in locals and the count is folded back in
+        # one write (exception-safe via the finally: an event is counted
+        # before it is processed).
         heap = self._heap
         heappop = heapq.heappop
         count = 0

@@ -290,8 +290,8 @@ class DrainScheduler:
         draw (and flip — the absorb snapshot is private, safe to mutate)
         happens at drain pickup.  With an integrity layer and a carried
         checksum, the drain verifies before shipping; in repair mode a
-        mismatch re-fetches the pristine escrow copy from the producing
-        rank and re-ingests it through the absorb queue (paying the
+        mismatch re-fetches the pristine bytes from the producing ranks'
+        buffers and re-ingests them through the absorb queue (paying the
         ingest time again), with a fresh bitrot draw per attempt.
         """
         world = self.tier.world
@@ -309,10 +309,13 @@ class DrainScheduler:
             return
         attempt = 0
         while True:
-            source = integrity.repair_source(ext.file.path, ext.offset, ext.nbytes)
+            clean = integrity.checksum(ext.data[: ext.nbytes]) == ext.checksum
+            # Composed only for a mismatch: a clean pickup costs no copy.
+            source = None if clean else integrity.repair_source(
+                ext.file.path, ext.offset, ext.nbytes
+            )
             verdict = integrity.verdict(
-                integrity.checksum(ext.data[: ext.nbytes]) == ext.checksum,
-                attempt, "refetch", can_redo=source is not None,
+                clean, attempt, "refetch", can_redo=source is not None
             )
             if verdict is Verdict.OK:
                 return
@@ -321,7 +324,7 @@ class DrainScheduler:
                     f"staged extent at offset {ext.offset} ({ext.nbytes} bytes) "
                     f"on node {self.node} failed checksum verification"
                 )
-            ext.data = snapshot(source)
+            ext.data = source  # composed afresh: already a private copy
             yield self.buffer.absorb_queue.submit(ext.nbytes)
             attempt += 1
             bitrot()

@@ -4,11 +4,13 @@ Two-phase I/O exists to bound memory by the collective buffer however
 large the file is; the host process should show the same discipline.  A
 payload run holds the payloads, one file store, the cycle buffers and one
 verification window — and nothing once it has returned, without waiting
-for the cyclic collector.  Like the event-budget gate this degrades
-silently (a doubling store, a file-sized temporary, a world kept alive by
-its reference cycles change no simulated number), so it is pinned with
-``tracemalloc``, which counts requested bytes and is deterministic where
-RSS is not.  Ratios are to the payload bytes; run with ``-rA`` to see
+for the cyclic collector.  Pristine bytes are derived, never copied: a
+read holds its buffers in place of the payloads, and integrity repair
+composes from the producers' buffers instead of keeping an escrow.  Like
+the event-budget gate this degrades silently (a doubling store, a
+file-sized temporary, a world kept alive by its reference cycles change
+no simulated number), so it is pinned with ``tracemalloc``, which counts
+requested bytes and is deterministic where RSS is not.  Ratios are to the payload bytes; run with ``-rA`` to see
 them.
 """
 
@@ -90,6 +92,8 @@ def test_write_holds_payload_file_and_one_window(case, shuffle):
 
 
 def test_read_holds_payload_file_and_buffers(case):
+    """The file (the payloads laid out) and the read buffers; no payload
+    dict beside them — verification regenerates one rank's at a time."""
     def call():
         result = run_collective_read(
             case["cluster"], case["fs"], NPROCS, case["views"],
@@ -98,13 +102,14 @@ def test_read_holds_payload_file_and_buffers(case):
         assert result.verified is True
 
     peak, left = traced(call, payload_bytes(case))
-    assert peak <= 3.25
+    assert peak <= 2.4
     assert left <= RESIDUE
 
 
-def test_staged_repair_run_releases_tier_and_escrow(case):
-    """Staging snapshots and the repair escrow are each a further copy
-    while the run lasts; none of it may outlive the run."""
+def test_staged_repair_run_keeps_no_repair_copy_and_releases_tier(case):
+    """Staging snapshots are a further copy while the run lasts; repair
+    adds none (it composes from the ranks' buffers), and nothing may
+    outlive the run."""
     spec = RunSpec(
         **{**case, "config": case["config"].with_(integrity=IntegritySpec(mode="repair"))},
         algorithm="write_comm2", staging=StagingSpec(policy="watermark"), verify=True,
@@ -117,7 +122,7 @@ def test_staged_repair_run_releases_tier_and_escrow(case):
         assert result.integrity["extents_recorded"] > 0
 
     peak, left = traced(call, payload_bytes(case))
-    assert peak <= 4.25
+    assert peak <= 3.3
     assert left <= RESIDUE
 
 
