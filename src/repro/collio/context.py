@@ -15,6 +15,7 @@ agrees without communication).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,8 +24,12 @@ from repro.collio.config import CollectiveConfig
 from repro.collio.plan import TwoPhasePlan
 from repro.collio.view import FileView
 from repro.errors import ConfigurationError
+from repro.faults.retry import RetryingSink
 from repro.integrity.carry import ChecksumCarry
+from repro.mpi.request import Request
 from repro.payload import crc, empty, zeros
+from repro.sink import WriteSink
+from repro.staging.tier import StagedSink
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Communicator
@@ -47,6 +52,17 @@ class _NullIteration:
 
 
 _NULL_ITERATION = _NullIteration()
+
+
+def _journal_commit(journal, recorder, agg_rank, agg_index, entry) -> None:
+    """The sink's ``on_durable`` under a recovery journal, bound with
+    ``partial`` so the sink holds no reference back to the context."""
+    cycle, offset, nbytes, checksum = entry
+    journal.commit(
+        agg_rank=agg_rank, agg_index=agg_index, cycle=cycle,
+        offset=offset, nbytes=nbytes, checksum=checksum,
+    )
+    recorder.inc("recovery.journal_commit")
 
 
 class _IterationSpan:
@@ -126,37 +142,29 @@ class AlgoContext:
         #: The world's shared recorder; when ``active`` every
         #: write/shuffle step becomes a span (otherwise free no-ops).
         self.recorder = mpi.world.cluster.recorder
-        #: Open "io" spans of posted-but-unwaited async writes, by handle id.
-        self._write_spans: dict[int, object] = {}
         #: The recovery cycle journal, or None outside recovery runs.
         #: When set, aggregators record every cycle's extent + checksum
-        #: once its write completes (the commit protocol); a successor
-        #: tells committed cycles from torn ones by re-verifying.
+        #: once it is durable (the commit protocol); a successor tells
+        #: committed cycles from torn ones by re-verifying.
         self.journal = mpi.world.journal
-        #: Journal entries of posted-but-unwaited writes, by handle id.
-        self._pending_commits: dict[int, tuple] = {}
-        #: This node's burst-buffer drain scheduler when the run stages
-        #: writes (see repro.staging), or None: aggregators then absorb
-        #: into the node-local buffer instead of writing to the PFS, and
-        #: journal commits defer to drain completion (durability point).
-        tier = mpi.world.staging
-        self.stager = (
-            tier.scheduler_for_rank(self.rank)
-            if tier is not None and self.is_aggregator
-            else None
-        )
         #: Checksum carrying when the world runs an integrity layer (see
         #: repro.integrity.carry), or None: aggregators then record every
         #: cycle extent's CRC-32 before posting its write and carry it
         #: through staging and storage.
         integrity = mpi.world.integrity
         self.carry = None if integrity is None else ChecksumCarry(self, integrity)
-        if config.retry is not None:
-            from repro.faults.retry import ReliableWriter  # local: avoids a cycle
-
-            self.writer = ReliableWriter(mpi, fh, config.retry)
+        #: The rank's one write path (see repro.sink), chosen once; its
+        #: durability callback is the journal commit.
+        commit = None if self.journal is None else partial(
+            _journal_commit, self.journal, self.recorder, self.rank, self.agg_index
+        )
+        tier = mpi.world.staging
+        if tier is not None and self.is_aggregator:
+            self.sink = StagedSink(fh, tier.scheduler_for_rank(self.rank), commit)
+        elif config.retry is not None:
+            self.sink = RetryingSink(fh, config.retry, commit)
         else:
-            self.writer = None
+            self.sink = WriteSink(fh, commit)
         # Plain-array sub-buffers (two-sided shuffle); RMA windows replace
         # them for one-sided shuffles.
         self._buffers: list | None = None
@@ -287,9 +295,7 @@ class AlgoContext:
         rng = self.plan.write_range(self.agg_index, cycle)
         if rng is None:
             return None
-        crange = self.plan.cycle_range(self.agg_index, cycle)
-        assert crange is not None
-        base = crange[0]
+        base = self.plan.cycle_base(self.agg_index, cycle)
         lo, hi = rng
         return lo, self.buffer(self.sub_of_cycle(cycle))[lo - base : hi - base]
 
@@ -306,31 +312,21 @@ class AlgoContext:
             return None
         return (cycle, offset, len(payload), crc(payload) if checksum is None else checksum)
 
-    def _journal_commit(self, entry) -> None:
-        """Declare a cycle durable: its write completed on the aggregator."""
-        if entry is None:
-            return
-        cycle, offset, nbytes, checksum = entry
-        self.journal.commit(
-            agg_rank=self.rank, agg_index=self.agg_index, cycle=cycle,
-            offset=offset, nbytes=nbytes, checksum=checksum,
-        )
-        self.recorder.inc("recovery.journal_commit")
-
-    def _drain_commit(self, entry):
-        """Deferred commit for staged writes: burst-buffer contents are
-        volatile, so a cycle is durable only once its extents *drained*
-        to the PFS — the callback the drain scheduler fires then."""
-        if entry is None:
-            return None
-        return lambda: self._journal_commit(entry)
-
     def _record_extent(self, cycle: int, offset: int, payload):
         """The extent's CRC-32 to carry down the write path (recorded in the
         integrity manifest), or None without checksum carrying."""
         if self.carry is None:
             return None
         return (yield from self.carry.record_extent(cycle, offset, payload))
+
+    def _open_spans(self, t0: float, name: str, cycle: int, nbytes: int):
+        """A write step's ``io.call`` span and its extent's ``io`` span
+        (both None when spans are off)."""
+        begin, rank = self.recorder.begin, self.rank
+        return (
+            begin(t0, name, "io.call", rank=rank, cycle=cycle, bytes=nbytes),
+            begin(t0, "write", "io", rank=rank, cycle=cycle, flow="async", bytes=nbytes),
+        )
 
     def write_blocking(self, cycle: int):
         """Blocking file-access phase for ``cycle`` (no MPI progress)."""
@@ -339,110 +335,47 @@ class AlgoContext:
             return
         t0 = self.mpi.now
         offset, payload = sliced
-        nbytes = len(payload)
         crc = yield from self._record_extent(cycle, offset, payload)
-        entry = self._journal_entry(cycle, offset, payload, crc)
-        recorder = self.recorder
-        call_span = io_span = None
-        if recorder.active:
-            call_span = recorder.begin(
-                t0, "write", "io.call", rank=self.rank, cycle=cycle, bytes=nbytes
-            )
-            io_span = recorder.begin(
-                t0, "write", "io", rank=self.rank, cycle=cycle, flow="async",
-                bytes=nbytes,
-            )
-        if self.stager is not None:
-            yield from self.fh.stage_at(
-                self.stager, offset, payload, cycle=cycle,
-                on_drained=self._drain_commit(entry), checksum=crc,
-            )
-        elif self.writer is not None:
-            yield from self.writer.write_at(offset, payload, checksum=crc)
-        else:
-            yield from self.fh.write_at(offset, payload, checksum=crc)
+        call_span, io_span = self._open_spans(t0, "write", cycle, len(payload))
+        yield from self.sink.write(
+            offset, payload, cycle, crc, self._journal_entry(cycle, offset, payload, crc)
+        )
         self.recorder.end(io_span, self.mpi.now)
         self.recorder.end(call_span, self.mpi.now)
-        if self.stager is None:
-            self._journal_commit(entry)
         self.stats.add_time("write", self.mpi.now - t0)
         self.stats.bump("writes")
 
     def write_init(self, cycle: int):
-        """Post an asynchronous write for ``cycle``; returns a handle."""
+        """Post an asynchronous write for ``cycle``; returns its
+        :class:`~repro.mpi.mpiio.PostedWrite` (carrying the io span)."""
         sliced = self._write_slice(cycle)
         if sliced is None:
             return None
         t0 = self.mpi.now
         offset, payload = sliced
-        nbytes = len(payload)
-        recorder = self.recorder
-        call_span = io_span = None
-        if recorder.active:
-            call_span = recorder.begin(
-                t0, "write_post", "io.call", rank=self.rank, cycle=cycle,
-                bytes=nbytes,
-            )
-            io_span = recorder.begin(
-                t0, "write", "io", rank=self.rank, cycle=cycle, flow="async",
-                bytes=nbytes,
-            )
+        call_span, io_span = self._open_spans(t0, "write_post", cycle, len(payload))
         crc = yield from self._record_extent(cycle, offset, payload)
-        entry = self._journal_entry(cycle, offset, payload, crc)
-        if self.stager is not None:
-            req = yield from self.fh.istage_at(
-                self.stager, offset, payload, cycle=cycle,
-                on_drained=self._drain_commit(entry), checksum=crc,
-            )
-        elif self.writer is not None:
-            req = yield from self.writer.iwrite_at(offset, payload, checksum=crc)
-        else:
-            req = yield from self.fh.iwrite_at(offset, payload, checksum=crc)
+        handle = yield from self.sink.post(
+            offset, payload, cycle, crc, self._journal_entry(cycle, offset, payload, crc)
+        )
         self.recorder.end(call_span, self.mpi.now)
-        if io_span is not None:
-            self._write_spans[id(req)] = io_span
-        if entry is not None and self.stager is None:
-            self._pending_commits[id(req)] = entry
+        handle.span = io_span
         self.stats.add_time("write_post", self.mpi.now - t0)
         self.stats.bump("writes")
-        return req
+        return handle
 
     def write_wait(self, handle):
         """Complete a previously posted asynchronous write."""
         if handle is None:
             return
         t0 = self.mpi.now
-        io_span = self._write_spans.pop(id(handle), None)
-        call_span = None
-        if self.recorder.active:
-            cycle = getattr(io_span, "cycle", -1)
-            call_span = self.recorder.begin(
-                t0, "write_wait", "io.call", rank=self.rank, cycle=cycle
-            )
+        call_span = self.recorder.begin(
+            t0, "write_wait", "io.call", rank=self.rank, cycle=getattr(handle.span, "cycle", -1)
+        )
         yield from self.mpi.wait(handle)
-        if io_span is not None:
-            # The aio/retry layers succeed the request event with the true
-            # completion timestamp; close the serviced interval there, not
-            # at the (possibly later) moment this rank got around to waiting.
-            value = handle.event.value if handle.event.triggered else None
-            done_at = value if isinstance(value, (int, float)) else self.mpi.now
-            self.recorder.end(io_span, min(float(done_at), self.mpi.now))
+        handle.settle(self.recorder, self.mpi.now)
         self.recorder.end(call_span, self.mpi.now)
-        self._journal_commit(self._pending_commits.pop(id(handle), None))
         self.stats.add_time("write", self.mpi.now - t0)
-
-    def note_write_done(self, handle) -> None:
-        """Close a posted write's "io" span when it completed inside a joint
-        waitall (no simulated cost; the wait already happened)."""
-        if handle is None:
-            return
-        self._journal_commit(self._pending_commits.pop(id(handle), None))
-        io_span = self._write_spans.pop(id(handle), None)
-        if io_span is None:
-            return
-        value = handle.event.value if handle.event.triggered else None
-        done_at = value if isinstance(value, (int, float)) else self.mpi.now
-        self.recorder.end(io_span, min(float(done_at), self.mpi.now))
 
     # The same three steps in the read direction: the file fills the
     # sub-buffer slice that ``_write_slice`` names, in place.
@@ -478,34 +411,26 @@ class AlgoContext:
     def staging_flush(self):
         """Make everything this node staged durable (end of the collective).
 
-        No-op without a staging tier.  For the ``end_of_job`` policy this
-        is where the whole drain happens, serialized after the last
-        cycle; the asynchronous policies only wait out the in-flight
-        tail.  Waiting is an MPI call (progress keeps running — peers on
-        other nodes may still be shuffling their final cycles).
+        No-op unless the rank's sink stages.  For the ``end_of_job``
+        policy this is where the whole drain happens, serialized after
+        the last cycle; the asynchronous policies only wait out the
+        in-flight tail.  Waiting is an MPI call (progress keeps running —
+        peers on other nodes may still be shuffling their final cycles).
         """
-        if self.stager is None:
+        drained = self.sink.flush()
+        if drained is None:
             return
-        from repro.mpi.request import Request  # local: avoids a cycle
-
         t0 = self.mpi.now
-        span = None
-        if self.recorder.active:
-            span = self.recorder.begin(
-                t0, "flush", "staging", rank=self.rank,
-                policy=self.stager.spec.policy,
-            )
-        yield from self.mpi.wait(Request(self.stager.flush(), "staging_flush"))
+        span = self.recorder.begin(
+            t0, "flush", "staging", rank=self.rank, policy=self.mpi.world.staging.spec.policy
+        )
+        yield from self.mpi.wait(Request(drained, "staging_flush"))
         self.recorder.end(span, self.mpi.now)
         self.stats.add_time("staging_flush", self.mpi.now - t0)
 
     def iteration(self, cycle: int):
-        """Span over one internal-cycle iteration of an overlap algorithm.
-
-        Returns a reusable null context when no span recorder is
-        attached — cycles are the innermost per-rank loop, so the
-        ``contextlib`` machinery this used to go through was measurable.
-        """
+        """Span over one cycle iteration of an overlap algorithm (a shared
+        null context when spans are off: this is the innermost rank loop)."""
         recorder = self.recorder
         if not recorder.active:
             return _NULL_ITERATION

@@ -62,7 +62,8 @@ class WriteCommOverlap(OverlapAlgorithm):
                         yield from ctx.mpi.waitall(requests)
                     yield from shuffle.finish(ctx, handle)
                     ctx.recorder.end(wait_span, ctx.mpi.now)
-                    ctx.note_write_done(write_req)
+                    if write_req is not None:
+                        write_req.settle(ctx.recorder, ctx.mpi.now)
                 else:
                     yield from ctx.write_wait(write_req)
                     if handle is not None:

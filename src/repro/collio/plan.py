@@ -24,16 +24,13 @@ from functools import cached_property
 import numpy as np
 
 from repro.collio.view import FileView
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 
 __all__ = [
     "SendAssignment", "RecvExpectation", "TwoPhasePlan", "TwoLayerPlan",
     "plan_content_key", "cached_plan", "store_plan",
     "plan_cache_stats", "reset_plan_cache",
 ]
-
-_EMPTY = np.zeros(0, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class SendAssignment:
@@ -75,6 +72,18 @@ class RecvExpectation:
     src_rank: int
     nbytes: int
     npieces: int
+
+
+def _check_within(sa, cycle: int, rng, lo: int = 0, hi: float = float("inf")) -> None:
+    """A plan invariant: send assignment ``sa`` of ``cycle`` lies inside
+    its aggregator's cycle range ``rng`` and file domain ``[lo, hi)``."""
+    if rng is None or not (
+        (sa.offsets >= max(lo, rng[0])).all()
+        and (sa.offsets + sa.lengths <= min(hi, rng[1])).all()
+    ):
+        raise SimulationError(
+            f"cycle {cycle}: a send to aggregator {sa.agg_index} leaves its cycle range"
+        )
 
 
 class TwoPhasePlan:
@@ -202,6 +211,13 @@ class TwoPhasePlan:
         lo = dlo + cycle * self.cycle_bytes
         return (lo, min(lo + self.cycle_bytes, dhi))
 
+    def cycle_base(self, agg_index: int, cycle: int) -> int:
+        """First file byte of a cycle the caller knows the aggregator has."""
+        rng = self.cycle_range(agg_index, cycle)
+        if rng is None:
+            raise SimulationError(f"aggregator {agg_index} has no cycle {cycle}")
+        return rng[0]
+
     def write_range(self, agg_index: int, cycle: int) -> tuple[int, int] | None:
         """Byte span the aggregator writes in ``cycle`` (None if no data)."""
         return self._write_range.get((agg_index, cycle))
@@ -210,21 +226,19 @@ class TwoPhasePlan:
     # Invariant checks (used by tests and verify mode)
     # ------------------------------------------------------------------
     def check_consistency(self, views: dict[int, FileView]) -> None:
-        """Assert the plan exactly covers every view byte once."""
+        """Raise :class:`SimulationError` unless the plan covers every view
+        byte exactly once."""
         per_rank_bytes: dict[int, int] = {r: 0 for r in views}
-        for (rank, _c), assignments in self._send.items():
+        for (rank, cycle), assignments in self._send.items():
             for sa in assignments:
                 per_rank_bytes[rank] += sa.nbytes
                 lo, hi = self.domains[sa.agg_index]
-                rng = self.cycle_range(sa.agg_index, _c)
-                assert rng is not None
-                clo, chi = rng
-                assert (sa.offsets >= max(lo, clo)).all()
-                assert (sa.offsets + sa.lengths <= min(hi, chi)).all()
+                _check_within(sa, cycle, self.cycle_range(sa.agg_index, cycle), lo, hi)
         for rank, view in views.items():
-            assert per_rank_bytes[rank] == view.total_bytes, (
-                f"rank {rank}: planned {per_rank_bytes[rank]} of {view.total_bytes} bytes"
-            )
+            if per_rank_bytes[rank] != view.total_bytes:
+                raise SimulationError(
+                    f"rank {rank}: planned {per_rank_bytes[rank]} of {view.total_bytes} bytes"
+                )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -402,13 +416,9 @@ class TwoLayerPlan(TwoPhasePlan):
                 forwarded[(leader, cycle)] = (
                     forwarded.get((leader, cycle), 0) + sa.nbytes
                 )
-                rng = self.cycle_range(sa.agg_index, cycle)
-                assert rng is not None
-                assert (sa.offsets >= rng[0]).all()
-                assert (sa.offsets + sa.lengths <= rng[1]).all()
-        assert forwarded == contributed, (
-            "leader forwards do not match node contributions"
-        )
+                _check_within(sa, cycle, self.cycle_range(sa.agg_index, cycle))
+        if forwarded != contributed:
+            raise SimulationError("leader forwards do not match node contributions")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

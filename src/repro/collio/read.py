@@ -81,7 +81,7 @@ def _deliver(ctx: AlgoContext, sa: SendAssignment, payload) -> None:
 
 def _bundle_from_buffer(ctx: AlgoContext, cycle: int, sa: SendAssignment):
     """Gather a destination's pieces out of the aggregator's sub-buffer."""
-    base = ctx.plan.cycle_range(sa.agg_index, cycle)[0]
+    base = ctx.plan.cycle_base(sa.agg_index, cycle)
     buf = ctx.buffer(ctx.sub_of_cycle(cycle))
     return gather(buf, [(off - base, ln) for off, ln, _ in sa.pieces])
 
@@ -179,7 +179,7 @@ class OneSidedGetScatter:
         plan = ctx.plan
         for sa in plan.sends_for(ctx.rank, cycle):
             agg_rank = plan.aggregators[sa.agg_index]
-            base = plan.cycle_range(sa.agg_index, cycle)[0]
+            base = plan.cycle_base(sa.agg_index, cycle)
             for off, ln, loc in sa.pieces:
                 evt = yield from win.get(agg_rank, ctx.data[loc : loc + ln], off - base)
                 gets.append(evt)

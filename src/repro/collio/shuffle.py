@@ -73,7 +73,7 @@ def _pack(data, sa: SendAssignment):
 
 def _scatter(ctx: AlgoContext, cycle: int, sa: SendAssignment, payload) -> None:
     """Place a contribution's pieces at their final sub-buffer positions."""
-    base = ctx.plan.cycle_range(sa.agg_index, cycle)[0]
+    base = ctx.plan.cycle_base(sa.agg_index, cycle)
     buf = ctx.buffer(ctx.sub_of_cycle(cycle))
     place(buf, [(off - base, ln) for off, ln, _ in sa.pieces], payload)
 
@@ -172,7 +172,7 @@ class TwoSidedShuffle:
         """The post-transfer unpack/scatter step (aggregator CPU)."""
         cycle = handle.cycle
         if handle.unpacks and ctx.is_aggregator:
-            base = ctx.plan.cycle_range(ctx.agg_index, cycle)[0]
+            base = ctx.plan.cycle_base(ctx.agg_index, cycle)
             sub = ctx.buffer(ctx.sub_of_cycle(cycle))
             total_bytes = 0
             total_pieces = 0
@@ -229,9 +229,7 @@ class _OneSidedBase:
         nputs = 0
         for sa in plan.sends_for(ctx.rank, cycle):
             agg_rank = plan.aggregators[sa.agg_index]
-            crange = plan.cycle_range(sa.agg_index, cycle)
-            assert crange is not None
-            base = crange[0]
+            base = plan.cycle_base(sa.agg_index, cycle)
             for off, ln, loc in sa.pieces:
                 yield from win.put(
                     agg_rank, src[loc : loc + ln], off - base,
@@ -368,9 +366,7 @@ class OneSidedLockShuffle(_OneSidedBase):
                 )
             yield from win.lock(agg_rank, exclusive=False)
             for sa in targets[agg_rank]:
-                crange = plan.cycle_range(sa.agg_index, cycle)
-                assert crange is not None
-                base = crange[0]
+                base = plan.cycle_base(sa.agg_index, cycle)
                 for off, ln, loc in sa.pieces:
                     yield from win.put(
                         agg_rank, src[loc : loc + ln], off - base,

@@ -20,7 +20,8 @@ discrete-event simulation:
 and provides the recovery mechanism the collective-write path uses to
 survive them: :class:`RetryPolicy` (bounded retries with exponential
 backoff in simulated time, per-write timeouts, graceful degradation from
-asynchronous to blocking writes) applied by :class:`ReliableWriter`.
+asynchronous to blocking writes) applied by :class:`RetryingSink`, the
+write sink (:mod:`repro.sink`) an aggregator gets under a retry policy.
 
 Every injection decision draws from a named stream of the world's seeded
 :class:`~repro.sim.rng.RngStreams`, so a faulty run is exactly as
@@ -30,14 +31,14 @@ reproducible as a clean one: same :class:`FaultSpec` + same seed
 
 from repro.faults.injector import FaultInjector
 from repro.faults.presets import FAULT_PRESETS, fault_preset
-from repro.faults.retry import ReliableWriter, RetryPolicy
+from repro.faults.retry import RetryingSink, RetryPolicy
 from repro.faults.spec import FaultSpec
 
 __all__ = [
     "FaultSpec",
     "FaultInjector",
     "RetryPolicy",
-    "ReliableWriter",
+    "RetryingSink",
     "FAULT_PRESETS",
     "fault_preset",
 ]

@@ -1,17 +1,20 @@
 """Retrying writes: the recovery half of the fault subsystem.
 
-:class:`RetryPolicy` is pure configuration; :class:`ReliableWriter`
-applies it around one rank's :class:`~repro.mpi.mpiio.MPIFile` during a
-collective write.  The division of labour mirrors a real I/O stack:
+:class:`RetryPolicy` is pure configuration; :class:`RetryingSink` is the
+write sink (:mod:`repro.sink`) that applies it around one rank's
+:class:`~repro.mpi.mpiio.MPIFile` during a collective write.  It changes
+how the bytes travel, not when they count as durable: the sink's
+``on_durable`` fires exactly where the plain sink's would.  The division
+of labour mirrors a real I/O stack:
 
 * the *first* submission of every write happens in the rank's own
   context (charging the usual MPI-call and client overheads, exactly as
-  the non-retrying path does);
+  the plain sink does);
 * *retries* of an asynchronous write are driven by a background
   supervisor process — the I/O stack's problem, progressing while the
   rank shuffles the next cycle — and surface through the request handle
   the rank waits on, which fails only after the policy is exhausted;
-* repeated aio submission failures degrade the writer to the blocking
+* repeated aio submission failures degrade the sink to the blocking
   path (sticky), modelling a client that gives up on broken ``aio``
   support the way the paper's Lustre note suggests one should.
 
@@ -38,17 +41,18 @@ from repro.errors import (
     WriteTimeoutError,
 )
 from repro.sim.primitives import any_of, defuse
+from repro.sink import WriteSink
 
-__all__ = ["RetryPolicy", "ReliableWriter"]
+__all__ = ["RetryPolicy", "RetryingSink"]
 
 
-def _request_cls():
+def _posted_write(event, detail=None):
     # Imported lazily: repro.mpi pulls in the whole world (literally),
     # which would close an import cycle through fs.presets' re-export of
     # the fault presets.
-    from repro.mpi.request import Request
+    from repro.mpi.mpiio import PostedWrite
 
-    return Request
+    return PostedWrite(event, detail)
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class RetryPolicy:
     #: Per-attempt write timeout, simulated seconds (None = no timeout).
     #: A timed-out attempt counts as a failure and is reissued.
     write_timeout: float | None = None
-    #: Consecutive aio submission failures before the writer degrades to
+    #: Consecutive aio submission failures before the sink degrades to
     #: blocking writes for the rest of the operation (None = never).
     degrade_after: int | None = 2
     #: Ceiling on any single backoff delay, seconds (None = uncapped —
@@ -119,22 +123,21 @@ class RetryPolicy:
         return replace(self, **overrides)
 
 
-class ReliableWriter:
-    """Applies a :class:`RetryPolicy` to one rank's file writes."""
+class RetryingSink(WriteSink):
+    """The plain sink with a :class:`RetryPolicy` around both verbs."""
 
-    def __init__(self, mpi, fh, policy: RetryPolicy) -> None:
-        self.mpi = mpi
-        self.fh = fh
+    def __init__(self, fh, policy: RetryPolicy, on_durable=None) -> None:
+        super().__init__(fh, on_durable)
         self.policy = policy
-        self.engine = mpi.engine
-        self.recorder = mpi.world.cluster.recorder
-        self.rank = mpi.rank
+        self.engine = fh.comm.engine
+        self.recorder = fh.comm.world.cluster.recorder
+        self.rank = fh.comm.rank
         #: Sticky: once True, every write takes the blocking path.
         self.degraded = False
         self._submit_failures = 0  # consecutive aio submission refusals
 
     # ------------------------------------------------------------------
-    def write_at(self, offset: int, data, checksum: int | None = None):
+    def _write(self, offset: int, data, checksum):
         """Blocking write with retries (generator; run in rank context)."""
         policy = self.policy
         attempt = 0
@@ -175,18 +178,18 @@ class ReliableWriter:
                     yield self.engine.timeout(backoff)
 
     # ------------------------------------------------------------------
-    def iwrite_at(self, offset: int, data, checksum: int | None = None):
+    def _post(self, offset: int, data, checksum):
         """Asynchronous write with supervised retries (generator).
 
-        Returns a :class:`Request` whose event fails only once the policy
-        is exhausted, so overlap algorithms can safely include it in a
-        joint ``waitall``.  After repeated submission refusals the writer
-        degrades (sticky) to the blocking path and returns an
-        already-completed handle.
+        Returns a :class:`~repro.mpi.mpiio.PostedWrite` whose event fails
+        only once the policy is exhausted, so overlap algorithms can
+        safely include it in a joint ``waitall``.  After repeated
+        submission refusals the sink degrades (sticky) to the blocking
+        path and returns an already-completed handle.
         """
         policy = self.policy
         if self.degraded:
-            yield from self.write_at(offset, data, checksum=checksum)
+            yield from self._write(offset, data, checksum)
             return self._completed_handle()
         try:
             req = yield from self.fh.iwrite_at(offset, data, checksum=checksum)
@@ -204,7 +207,7 @@ class ReliableWriter:
             # rank loses this cycle's overlap but the pipeline stays
             # correct.
             self.recorder.inc("retry.sync_fallback")
-            yield from self.write_at(offset, data, checksum=checksum)
+            yield from self._write(offset, data, checksum)
             return self._completed_handle()
         self._submit_failures = 0
         outer = self.engine.event()
@@ -212,12 +215,12 @@ class ReliableWriter:
             self._supervise(offset, data, req.event, outer, checksum),
             name=f"retry.r{self.rank}@{offset}",
         )
-        return _request_cls()(outer, "iwrite", req)
+        return _posted_write(outer, req)
 
     def _completed_handle(self):
         done = self.engine.event()
         done.succeed(self.engine.now)
-        return _request_cls()(done, "iwrite", None)
+        return _posted_write(done)
 
     # ------------------------------------------------------------------
     def _supervise(self, offset, data, event, outer, checksum=None):
@@ -248,7 +251,7 @@ class ReliableWriter:
                             f"{policy.write_timeout}s"
                         )
             except CorruptDataError as exc:
-                # Non-retryable (see write_at): surface it through the
+                # Non-retryable (see _write): surface it through the
                 # handle without burning the retry budget.
                 self.recorder.end(attempt_span, engine.now)
                 outer.fail(exc)

@@ -26,7 +26,36 @@ from repro.sim.primitives import any_of, defuse
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.comm import Communicator
 
-__all__ = ["MPIFile"]
+__all__ = ["MPIFile", "PostedWrite"]
+
+
+class PostedWrite(Request):
+    """A posted write's handle (:meth:`MPIFile.iwrite_at`, a sink's ``post``).
+
+    Besides completion it carries what the rank owes the write once it
+    sees that completion: the ``io`` span to close and the sink's
+    durability callback (None for a staged write: its drain fires it).
+    """
+
+    __slots__ = ("span", "durable")
+
+    def __init__(self, event, detail=None) -> None:
+        super().__init__(event, "iwrite", detail)
+        self.span = None
+        self.durable = None
+
+    def settle(self, recorder, now: float) -> None:
+        """The rank saw this write complete (no simulated cost): close its
+        ``io`` span, then declare it durable."""
+        if self.span is not None:
+            # The aio/retry layers succeed the event with the true
+            # completion timestamp; close the serviced interval there, not
+            # at the (possibly later) moment this rank got around to waiting.
+            value = self.event.value if self.event.triggered else None
+            done_at = value if isinstance(value, (int, float)) else now
+            recorder.end(self.span, min(float(done_at), now))
+        if self.durable is not None:
+            self.durable()
 
 
 class MPIFile:
@@ -91,7 +120,7 @@ class MPIFile:
         data: np.ndarray | Sized,
         checksum: int | None = None,
     ):
-        """Asynchronous write; returns a :class:`Request` immediately.
+        """Asynchronous write; returns a :class:`PostedWrite` immediately.
 
         The posting cost is an MPI call (progress window); the I/O itself
         is progressed by the simulated OS.
@@ -99,63 +128,14 @@ class MPIFile:
         view = as_payload(data)
         self.bytes_written += len(view)
         self.async_writes += 1
-        world = self.comm.world
-        rt = world.runtime(self.comm.rank)
-        rt.enter_progress()
-        try:
-            yield world.engine.timeout(
-                world.cluster.spec.mpi_call_overhead + self.pfs.spec.client_overhead
-            )
-            req = self.aio.submit(self.file, offset, view, checksum=checksum)
-        finally:
-            rt.exit_progress()
-        return Request(req.event, "iwrite", req)
-
-    def stage_at(
-        self,
-        scheduler,
-        offset: int,
-        data: np.ndarray | Sized,
-        cycle: int = -1,
-        on_drained=None,
-        checksum: int | None = None,
-    ):
-        """Blocking write into the node's burst buffer (staging tier).
-
-        Same calling shape and cost structure as :meth:`write_at` — the
-        rank is stuck in the absorb call with no MPI progress — but the
-        completion means "the staging device holds the bytes", not
-        durability; the tier's drain scheduler lands them on the PFS in
-        the background and fires ``on_drained`` then.
-        """
-        view = as_payload(data)
-        self.bytes_written += len(view)
-        self.sync_writes += 1
-        done = scheduler.absorb(
-            self.file, offset, view, rank=self.comm.rank,
-            cycle=cycle, on_drained=on_drained, checksum=checksum,
+        req = yield from self.posting(
+            lambda: self.aio.submit(self.file, offset, view, checksum=checksum)
         )
-        yield from self.comm.io_wait(done, setup_cost=self.pfs.spec.client_overhead)
+        return PostedWrite(req.event, req)
 
-    def istage_at(
-        self,
-        scheduler,
-        offset: int,
-        data: np.ndarray | Sized,
-        cycle: int = -1,
-        on_drained=None,
-        checksum: int | None = None,
-    ):
-        """Asynchronous write into the node's burst buffer; returns a Request.
-
-        The posting cost mirrors :meth:`iwrite_at` (an MPI call plus the
-        client overhead, under a progress window); the request completes
-        when the absorb finishes — drain durability is signalled via
-        ``on_drained``.
-        """
-        view = as_payload(data)
-        self.bytes_written += len(view)
-        self.async_writes += 1
+    def posting(self, submit):
+        """Return ``submit()`` run inside a posting call (generator): the MPI
+        call and client overhead every posted file operation pays."""
         world = self.comm.world
         rt = world.runtime(self.comm.rank)
         rt.enter_progress()
@@ -163,13 +143,9 @@ class MPIFile:
             yield world.engine.timeout(
                 world.cluster.spec.mpi_call_overhead + self.pfs.spec.client_overhead
             )
-            done = scheduler.absorb(
-                self.file, offset, view, rank=self.comm.rank,
-                cycle=cycle, on_drained=on_drained, checksum=checksum,
-            )
+            return submit()
         finally:
             rt.exit_progress()
-        return Request(done, "istage")
 
     def read_at(self, offset: int, dest: np.ndarray | Sized):
         """Blocking read of ``len(dest)`` bytes into ``dest`` (zeros past EOF)."""
@@ -182,16 +158,7 @@ class MPIFile:
         ``dest`` is filled once the request completes (wait on it with
         the communicator's ``wait``, which also drives MPI progress).
         """
-        world = self.comm.world
-        rt = world.runtime(self.comm.rank)
-        rt.enter_progress()
-        try:
-            yield world.engine.timeout(
-                world.cluster.spec.mpi_call_overhead + self.pfs.spec.client_overhead
-            )
-            req = self.aio.submit_read(self.file, offset, dest)
-        finally:
-            rt.exit_progress()
+        req = yield from self.posting(lambda: self.aio.submit_read(self.file, offset, dest))
         return Request(req.event, "iread", req)
 
     # ------------------------------------------------------------------

@@ -304,8 +304,7 @@ class Engine:
             return "done"
 
         proc = eng.process(worker(eng))
-        eng.run()
-        assert eng.now == 1.5 and proc.value == "done"
+        eng.run()  # now eng.now == 1.5 and proc.value == "done"
     """
 
     def __init__(self) -> None:
@@ -370,11 +369,6 @@ class Engine:
         """Drop the pending events (an aborted run's in-flight work; the
         clock and the statistics stay readable)."""
         self._heap.clear()
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._current
 
     # -- scheduling --------------------------------------------------------
     def _push(self, event: Event, delay: float = 0.0) -> None:

@@ -1,6 +1,6 @@
 """The burst-buffer staging tier: per-node buffers + drain scheduling.
 
-Three classes, one per responsibility:
+Four classes, one per responsibility:
 
 :class:`BurstBuffer`
     One node's staging device: an absorb :class:`~repro.sim.resources.ServerQueue`
@@ -20,17 +20,23 @@ Three classes, one per responsibility:
     The world-level facade: lazily creates one scheduler per node and
     aggregates their counters for the run's recorder.
 
+:class:`StagedSink`
+    An aggregator's write sink (:mod:`repro.sink`) when the run stages.
+
 Durability contract: an extent is *absorbed* when the staging device
 holds its bytes (the write call returns) and *durable* only when its
-drain write completed on the PFS.  The recovery integration hangs off
-the per-extent ``on_drained`` callback — the cycle journal commits
-there, never at absorb time, so a crash that loses undrained buffer
-contents leaves those cycles uncommitted and the replay re-drives them.
+drain write completed on the PFS.  The sink's ``on_durable`` (the cycle
+journal's commit) rides with the extent and fires there, never at
+absorb time, so a crash that loses undrained buffer contents leaves
+those cycles uncommitted and the replay re-drives them.
 
 The drain path goes through ``ParallelFileSystem.write``, so striping,
 degraded remap and injected faults apply to drains exactly as they do to
 foreground writes; transient failures and newly detected outages are
-retried up to ``StagingSpec.max_drain_retries`` times per extent.
+retried up to ``StagingSpec.max_drain_retries`` times per extent, by the
+drain's own loop rather than a :class:`~repro.faults.retry.RetryingSink`:
+a drain retry charges no client overhead, waits no backoff and counts
+``staging.drain_retries``, so the retry layer would move staged clocks.
 
 Scheduling is event-driven: a drain process exists only while there is
 work it is allowed to do, and exits otherwise.  (A persistent daemon
@@ -41,13 +47,16 @@ the end of the run.)
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError, CorruptDataError, FileSystemError
 from repro.integrity.layer import Verdict
+from repro.mpi.mpiio import PostedWrite
 from repro.payload import as_payload, flip, snapshot
 from repro.sim.engine import Engine, Event
 from repro.sim.resources import ServerQueue
+from repro.sink import WriteSink
 from repro.staging.spec import StagingSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.pfs import ParallelFileSystem
     from repro.mpi.world import World
 
-__all__ = ["BurstBuffer", "DrainScheduler", "StagingTier"]
+__all__ = ["BurstBuffer", "DrainScheduler", "StagedSink", "StagingTier"]
 
 #: Span-track encoding: staging spans carry ``rank = -(node + 2)`` so the
 #: Chrome exporter can place each node's buffer on its own track without
@@ -170,7 +179,7 @@ class DrainScheduler:
         data,
         rank: int,
         cycle: int = -1,
-        on_drained: Callable[[], None] | None = None,
+        on_drained: Callable[[], None] = lambda: None,
         checksum: int | None = None,
     ) -> Event:
         """Stage one write of payload ``data``; returns the absorb-completion event.
@@ -193,8 +202,7 @@ class DrainScheduler:
         done = self.engine.event()
         if nbytes == 0:
             done.succeed(self.engine.now)
-            if on_drained is not None:
-                on_drained()
+            on_drained()
             return done
         ext = _StagedExtent(file, offset, data, rank, cycle, on_drained, checksum)
         self.engine.process(
@@ -272,8 +280,7 @@ class DrainScheduler:
                 self.recorder.end(span, self.engine.now)
                 bb.drained_bytes += ext.nbytes
                 bb.extents_drained += 1
-                if ext.on_drained is not None:
-                    ext.on_drained()
+                ext.on_drained()
                 bb.release(ext.nbytes)
                 if bb.occupancy <= self.spec.low_watermark * bb.capacity:
                     self._forced = False
@@ -455,3 +462,35 @@ class StagingTier:
     def undrained_bytes(self) -> int:
         """Bytes absorbed but not yet durable (0 after a completed flush)."""
         return sum(bb.occupancy for bb in self.buffers())
+
+
+class StagedSink(WriteSink):
+    """A write sink that absorbs into the node's burst buffer.
+
+    Both verbs cost what the direct ones do, but completion means the
+    device holds the bytes; ``on_durable`` fires when the drain lands
+    them, so a posted handle carries no commit of its own.
+    """
+
+    def __init__(self, fh, scheduler: DrainScheduler, on_durable=None) -> None:
+        super().__init__(fh, on_durable)
+        self.scheduler = scheduler
+
+    def _absorb(self, offset: int, data, cycle: int, checksum, token) -> Event:
+        return self.scheduler.absorb(
+            self.fh.file, offset, data, rank=self.fh.comm.rank, cycle=cycle,
+            on_drained=partial(self.on_durable, token), checksum=checksum,
+        )
+
+    def write(self, offset: int, data, cycle: int = -1, checksum=None, token=None):
+        done = self._absorb(offset, data, cycle, checksum, token)
+        yield from self.fh.comm.io_wait(done, setup_cost=self.fh.pfs.spec.client_overhead)
+
+    def post(self, offset: int, data, cycle: int = -1, checksum=None, token=None):
+        done = yield from self.fh.posting(
+            lambda: self._absorb(offset, data, cycle, checksum, token)
+        )
+        return PostedWrite(done)
+
+    def flush(self) -> Event:
+        return self.scheduler.flush()

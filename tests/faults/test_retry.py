@@ -1,4 +1,4 @@
-"""RetryPolicy / ReliableWriter semantics, including the regression pair
+"""RetryPolicy / RetryingSink semantics, including the regression pair
 from the issue: a fault that kills a write a peer waits on must surface as
 DeadlockError (not a hang or a silent pass), and ``max_retries=0`` must
 surface the *underlying* FileSystemError unchanged."""

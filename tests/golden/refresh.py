@@ -28,7 +28,7 @@ from repro.collio.api import run_collective_write  # noqa: E402
 from tests.golden.scenario import (  # noqa: E402
     TELEMETRY, case_key, fingerprint, golden_cases, read_back, read_timing,
     read_timing_cases, telemetry, telemetry_specs, timing, timing_specs,
-    tuner_counters,
+    tuner_counters, untraced, untraced_specs,
 )
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -57,6 +57,8 @@ def main(argv: list[str]) -> int:
             print(f"  {key}: {records[key]['elapsed_hex']}", file=sys.stderr)
         for key, spec in telemetry_specs().items():
             records[key] = telemetry(run_collective_write(spec))
+        for key, spec in untraced_specs().items():
+            records[key] = untraced(run_collective_write(spec))
         records.update(tuner_counters())
         _write("timing.json", records)
         return 0

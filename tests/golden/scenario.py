@@ -37,6 +37,10 @@ for every timed write and read, two traced fault runs
 (:func:`telemetry_specs`) and the tuner's cold/warm counters
 (:func:`tuner_counters`).
 
+Its ``untraced/...`` keys pin the same writes with the recorder off
+(:func:`untraced_specs`): elapsed plus the engine's event counts, since
+the write path branches on whether spans are recorded.
+
 Cases are ``(algorithm, shuffle, two_layer, staging_policy)`` tuples;
 ``staging_policy`` is ``None`` (direct writes — the original 30 cases,
 whose keys and fingerprints are unchanged) or a drain-policy name that
@@ -73,6 +77,8 @@ WORKLOAD_KWARGS = {"block_size": 4096, "segment_count": 8}
 
 #: Key prefix of the telemetry fixed points in ``timing.json``.
 TELEMETRY = "telemetry/"
+#: Key prefix of the untraced clock fixed points in ``timing.json``.
+UNTRACED = "untraced/"
 
 
 def golden_cases() -> list[tuple[str, str, bool, str | None]]:
@@ -224,6 +230,26 @@ def telemetry_specs() -> dict[str, RunSpec]:
                 cb_buffer_size=16 * 1024, integrity=IntegritySpec(mode="repair")
             ),
         ),
+    }
+
+
+def untraced_specs() -> dict[str, RunSpec]:
+    """Every timed and telemetry write again with ``trace=False``: the
+    write path must keep the clock of a run whose recorder is off."""
+    specs = dict(timing_specs())
+    specs.update(
+        (key.removeprefix(TELEMETRY), spec) for key, spec in telemetry_specs().items()
+    )
+    return {UNTRACED + key: spec.replace(trace=False) for key, spec in specs.items()}
+
+
+def untraced(result) -> dict:
+    """An untraced write's simulated clock and event count, bit for bit."""
+    counters = result.metrics["counters"]
+    return {
+        "elapsed_hex": result.elapsed.hex(),
+        "events_processed": counters["sim.events_processed"],
+        "timeouts_coalesced": counters["sim.timeouts_coalesced"],
     }
 
 

@@ -17,6 +17,11 @@ The ``telemetry/...`` entries pin what the run recorder reports — metrics,
 trace counters, integrity snapshot and spans — for the same runs, two
 traced fault runs and the tuner's cold/warm counters (captured before
 the three metric stores became one recorder).
+
+The ``untraced/...`` entries run the timed and telemetry writes again
+with ``trace=False`` and pin elapsed plus ``sim.events_processed`` /
+``sim.timeouts_coalesced``: the write path branches on whether spans are
+recorded, so the traced pins alone do not cover an untraced clock.
 """
 
 import json
@@ -27,13 +32,14 @@ import pytest
 from repro.collio.api import run_collective_write
 from tests.golden.scenario import (
     TELEMETRY, read_back, read_timing, read_timing_cases, telemetry,
-    telemetry_specs, timing, timing_specs, tuner_counters,
+    telemetry_specs, timing, timing_specs, tuner_counters, untraced, untraced_specs,
 )
 
 _TIMING = os.path.join(os.path.dirname(__file__), "timing.json")
 _SPECS = timing_specs()
 _READ_CASES = read_timing_cases()
 _TELEMETRY_SPECS = telemetry_specs()
+_UNTRACED_SPECS = untraced_specs()
 _TUNER_KEYS = {TELEMETRY + "tune/cold", TELEMETRY + "tune/warm"}
 
 
@@ -46,9 +52,11 @@ def test_timing_file_covers_all_cases():
     timed = set(_SPECS) | set(_READ_CASES)
     assert set(_load()) == (
         timed | {TELEMETRY + key for key in timed} | set(_TELEMETRY_SPECS) | _TUNER_KEYS
+        | set(_UNTRACED_SPECS)
     )
     assert len(_SPECS) == 47
     assert len(_READ_CASES) == 7
+    assert len(_UNTRACED_SPECS) == len(_SPECS) + len(_TELEMETRY_SPECS)
 
 
 @pytest.mark.parametrize("key", list(_SPECS))
@@ -74,6 +82,12 @@ def test_same_seed_read_timing(key):
 def test_same_seed_telemetry(key):
     result = run_collective_write(_TELEMETRY_SPECS[key])
     assert telemetry(result) == _load()[key], f"telemetry drifted for {key}"
+
+
+@pytest.mark.parametrize("key", list(_UNTRACED_SPECS))
+def test_same_seed_untraced_timing(key):
+    result = run_collective_write(_UNTRACED_SPECS[key])
+    assert untraced(result) == _load()[key], f"untraced timing drifted for {key}"
 
 
 def test_same_seed_tuner_counters():

@@ -223,7 +223,7 @@ class TestTargetDownError:
     def test_zero_retries_surfaces_target_down(self):
         # Regression: TargetDownError must pass through a zero-retry
         # policy unchanged (it is a FileSystemError subclass).
-        from repro.faults.retry import ReliableWriter
+        from repro.faults.retry import RetryingSink
         from repro.mpi.world import World
 
         world = World(small_cluster(), 1, fs_spec=small_fs())
@@ -231,8 +231,8 @@ class TestTargetDownError:
 
         def program(mpi):
             fh = yield from mpi.file_open("/f")
-            writer = ReliableWriter(mpi, fh, RetryPolicy(max_retries=0))
-            yield from writer.write_at(0, np.zeros(4096, dtype=np.uint8))
+            sink = RetryingSink(fh, RetryPolicy(max_retries=0))
+            yield from sink.write(0, np.zeros(4096, dtype=np.uint8))
 
         with pytest.raises(TargetDownError):
             world.run(program)
@@ -240,7 +240,7 @@ class TestTargetDownError:
     def test_retry_remaps_onto_survivors(self):
         # With retries the rejection teaches the client the target is
         # down; the reissued write lands on the remap survivor inline.
-        from repro.faults.retry import ReliableWriter
+        from repro.faults.retry import RetryingSink
         from repro.mpi.world import World
 
         world = World(small_cluster(), 1, fs_spec=small_fs())
@@ -248,9 +248,8 @@ class TestTargetDownError:
 
         def program(mpi):
             fh = yield from mpi.file_open("/f")
-            writer = ReliableWriter(mpi, fh, RetryPolicy(max_retries=3))
-            yield from writer.write_at(0, np.arange(4096, dtype=np.int64)
-                                       .astype(np.uint8))
+            sink = RetryingSink(fh, RetryPolicy(max_retries=3))
+            yield from sink.write(0, np.arange(4096, dtype=np.int64).astype(np.uint8))
 
         world.run(program)
         assert 0 in world.pfs.known_down
